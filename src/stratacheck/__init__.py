@@ -11,10 +11,7 @@ reporting.
 __version__ = "0.1.0"
 
 from .curves import (
-    CoverData,
-    PlueckerData,
     PolystableSpec,
-    cover_data,
     fibration_euler,
     flex_count,
     moduli_dimension_check,
@@ -63,15 +60,15 @@ from .ledger import (
     Discrepancy,
     Ledger,
     StratumEntry,
-    cubic_derived_ledger,
     cubic_paper_ledger,
-    degree2_derived_ledger,
     degree2_paper_ledger,
     derive_entry,
+    derived_ledger,
     discrepancy_report,
     discriminant_degree_sum,
     fiber_point_checks,
     ledger_rows,
+    tangency_adjoint_degree,
     total_chi,
 )
 from .lines27 import (

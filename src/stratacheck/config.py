@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ledger as ledger_mod
-from .errors import ConfigError, LedgerError, ToolkitError
+from .errors import ConfigError, ToolkitError
 from .invariants import CoordinateInvolution, DiagonalAction
 from .ledger import Ledger, StratumEntry
 from .singularities import CyclicDiagonalElement, FiniteDiagonalGroup
@@ -116,22 +116,14 @@ def _parse_action(name: str, raw: dict) -> DiagonalAction:
         if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise ConfigError(f"{where}.finite_factors: modulus must be an integer")
         finite.append((modulus, _int_list(weights, f"{where}.finite_factors")))
-    try:
-        return DiagonalAction(dim, torus, tuple(finite))
-    except ToolkitError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return DiagonalAction(dim, torus, tuple(finite))
 
 
 def _parse_involution(name: str, raw: dict) -> CoordinateInvolution:
     where = f"involutions.{name}"
     image = _int_list(_need(raw, "permutation", list, where), where)
     signs = raw.get("signs")
-    try:
-        if signs is None:
-            return CoordinateInvolution(image)
-        return CoordinateInvolution(image, _int_list(signs, where))
-    except ToolkitError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return CoordinateInvolution(image, () if signs is None else _int_list(signs, where))
 
 
 def _parse_group(name: str, raw: dict) -> FiniteDiagonalGroup:
@@ -149,10 +141,7 @@ def _parse_group(name: str, raw: dict) -> FiniteDiagonalGroup:
             gens.append(CyclicDiagonalElement(order, exps))
         except ToolkitError as exc:
             raise ConfigError(f"{where}.generators[{i}]: {exc}") from exc
-    try:
-        return FiniteDiagonalGroup(tuple(gens))
-    except ToolkitError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return FiniteDiagonalGroup(tuple(gens))
 
 
 def _parse_basis(name: str, raw: dict) -> ClassBasis:
@@ -163,10 +152,7 @@ def _parse_basis(name: str, raw: dict) -> ClassBasis:
     pairing = tuple(
         _int_list(row, f"{where}.pairing") for row in _need(raw, "pairing", list, where)
     )
-    try:
-        return ClassBasis(tuple(labels), pairing)
-    except ToolkitError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return ClassBasis(tuple(labels), pairing)
 
 
 def _parse_ledger(name: str, raw: dict) -> Ledger:
@@ -196,16 +182,13 @@ def _parse_ledger(name: str, raw: dict) -> Ledger:
                     row.get("description", ""),
                 )
             )
-        except (LedgerError, ToolkitError) as exc:
+        except ToolkitError as exc:
             raise ConfigError(f"{rwhere}: {exc}") from exc
     required = {
         "cubic": ledger_mod.CUBIC_LABELS,
         "degree2": ledger_mod.DEGREE2_LABELS,
     }.get(name, tuple(e.label for e in entries))
-    try:
-        return Ledger(name, mode, tuple(entries), required)
-    except LedgerError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return Ledger(name, mode, tuple(entries), required)
 
 
 _SECTION_PARSERS = {
@@ -225,13 +208,7 @@ def parse_config(raw: dict, label: str) -> ConfigDocument:
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}")
     base = builtin_config()
-    merged = {
-        "actions": dict(base.actions),
-        "involutions": dict(base.involutions),
-        "groups": dict(base.groups),
-        "bases": dict(base.bases),
-        "ledgers": dict(base.ledgers),
-    }
+    merged = {section: dict(getattr(base, section)) for section in _SECTION_PARSERS}
     for section, parser in _SECTION_PARSERS.items():
         table = raw.get(section, {})
         if not isinstance(table, dict):
@@ -239,12 +216,20 @@ def parse_config(raw: dict, label: str) -> ConfigDocument:
         for name, body in table.items():
             if not isinstance(body, dict):
                 raise ConfigError(f"{section}.{name}: expected an object")
-            merged[section][name] = parser(name, body)
+            try:
+                merged[section][name] = parser(name, body)
+            except ConfigError:
+                raise
+            except ToolkitError as exc:
+                raise ConfigError(f"{section}.{name}: {exc}") from exc
     return ConfigDocument(label, **merged)
 
 
 def load_config(path) -> ConfigDocument:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

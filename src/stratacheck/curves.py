@@ -64,30 +64,6 @@ def flex_count(d: int, delta: int, kappa: int) -> int:
     return f
 
 
-@dataclass(frozen=True)
-class PlueckerData:
-    """Known numerical characters of a plane curve; absent fields are None."""
-
-    d: int | None = None
-    delta: int | None = None
-    kappa: int | None = None
-    g: int | None = None
-    d_star: int | None = None
-    b: int | None = None
-    f: int | None = None
-
-    def __post_init__(self):
-        for name in ("d", "delta", "kappa", "g", "d_star", "b", "f"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ToolkitError(f"{name} must be non-negative, got {value}")
-        if None not in (self.d, self.delta, self.kappa, self.g):
-            if self.g != plane_curve_genus(self.d, self.delta, self.kappa):
-                raise ToolkitError(
-                    "genus does not match (d-1)(d-2)/2 - delta - kappa"
-                )
-
-
 # ---------------------------------------------------------------------------
 # branched covers
 
@@ -100,26 +76,6 @@ def riemann_hurwitz_branch(g_source: int, g_target: int, degree: int) -> int:
     if r < 0:
         raise InconsistentInputError(f"negative branch degree {r}")
     return r
-
-
-@dataclass(frozen=True)
-class CoverData:
-    """A branched cover record; construction enforces the cover identity."""
-
-    degree: int
-    g_source: int
-    g_target: int
-    branch_degree: int
-
-    def __post_init__(self):
-        if 2 * self.g_source - 2 != self.degree * (2 * self.g_target - 2) + self.branch_degree:
-            raise ToolkitError("cover data violates 2g-2 = n(2g'-2) + deg R")
-
-
-def cover_data(g_source: int, g_target: int, degree: int) -> CoverData:
-    return CoverData(
-        degree, g_source, g_target, riemann_hurwitz_branch(g_source, g_target, degree)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,6 @@ class CoordinateInvolution:
             if signs[i] * signs[image[i]] != 1:
                 raise InvolutionError("signs applied twice are not the identity")
 
-    @classmethod
-    def identity(cls, n: int) -> "CoordinateInvolution":
-        return cls(tuple(range(n)))
-
 
 @dataclass(frozen=True)
 class IsomorphismResult:
@@ -163,59 +159,82 @@ def is_invariant(action: DiagonalAction, monomial) -> bool:
     return True
 
 
+def _bounded_vectors(weights, images, dim, bound, visit, zero_rows=0, moduli=()) -> None:
+    """Call visit(e, image) for every exponent vector e >= 0 with
+    sum(e_i * weights[i]) <= bound.
+
+    The order is fixed: the first entry varies slowest, each entry counts up
+    from zero.  image is sum(e_i * images[i]), a vector of length ``dim``
+    kept up to date as the entries change; both arguments are live lists, so
+    visit copies what it keeps.  The first ``zero_rows`` image coordinates
+    must end at zero and the next ``len(moduli)`` must end divisible by their
+    modulus; other vectors are skipped.  Zero rows also prune: with r units of the
+    bound left for the entries i.., the reachable change of such a
+    coordinate lies between r*min(0, images[i:]) and r*max(0, images[i:])
+    (every weight is at least one), so a partial image outside that window
+    is dead.
+    """
+    n = len(weights)
+    lo = [[0] * (n + 1) for _ in range(zero_rows)]
+    hi = [[0] * (n + 1) for _ in range(zero_rows)]
+    for r in range(zero_rows):
+        for i in range(n - 1, -1, -1):
+            lo[r][i] = min(lo[r][i + 1], images[i][r])
+            hi[r][i] = max(hi[r][i + 1], images[i][r])
+    steps = [[(j, c) for j, c in enumerate(image) if c] for image in images]
+    congruences = [(zero_rows + j, m) for j, m in enumerate(moduli)]
+
+    exps = [0] * n
+    img = [0] * dim
+
+    def rec(i: int, remaining: int) -> None:
+        for r in range(zero_rows):
+            t = -img[r]
+            if t < remaining * lo[r][i] or t > remaining * hi[r][i]:
+                return
+        if i == n:
+            if all(img[j] % m == 0 for j, m in congruences):
+                visit(exps, img)
+            return
+        rec(i + 1, remaining)
+        w = weights[i]
+        step = steps[i]
+        e = 0
+        while (e + 1) * w <= remaining:
+            e += 1
+            exps[i] = e
+            for j, c in step:
+                img[j] += c
+            rec(i + 1, remaining - e * w)
+        if e:
+            exps[i] = 0
+            for j, c in step:
+                img[j] -= e * c
+
+    rec(0, bound)
+
+
 @functools.cache
 def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
     """All invariant monomials of total degree <= max_degree, grlex sorted.
 
-    Depth-first enumeration over the variables.  Torus rows prune hard: with
-    r units of degree left over the variables i..n-1, the reachable extra
-    weight on each row lies between r*min(0, row[i:]) and r*max(0, row[i:]),
-    so any partial weight outside that window is dead.
+    Every variable has degree one; the image of a monomial is its weight on
+    each torus row, which must vanish, followed by its weight on each finite
+    row, which must vanish modulo that row's order.
     """
     n = action.ambient_dim
-    torus = action.torus_weights
-    k = len(torus)
-    finite = action.finite_factors
-
-    lo = [[0] * (n + 1) for _ in range(k)]
-    hi = [[0] * (n + 1) for _ in range(k)]
-    for r in range(k):
-        for i in range(n - 1, -1, -1):
-            lo[r][i] = min(lo[r][i + 1], torus[r][i])
-            hi[r][i] = max(hi[r][i + 1], torus[r][i])
-
-    out = []
-    exps = [0] * n
-    tw = [0] * k
-    fw = [0] * len(finite)
-
-    def rec(i: int, remaining: int) -> None:
-        for r in range(k):
-            t = -tw[r]
-            if t < remaining * lo[r][i] or t > remaining * hi[r][i]:
-                return
-        if i == n:
-            if all(tw[r] == 0 for r in range(k)) and all(
-                fw[j] % finite[j][0] == 0 for j in range(len(finite))
-            ):
-                out.append(tuple(exps))
-            return
-        rec(i + 1, remaining)
-        for e in range(1, remaining + 1):
-            exps[i] = e
-            for r in range(k):
-                tw[r] += torus[r][i]
-            for j in range(len(finite)):
-                fw[j] += finite[j][1][i]
-            rec(i + 1, remaining - e)
-        for r in range(k):
-            tw[r] -= exps[i] * torus[r][i]
-        for j in range(len(finite)):
-            fw[j] -= exps[i] * finite[j][1][i]
-        exps[i] = 0
-
-    rec(0, max_degree)
-    return tuple(sort_monomials(out))
+    rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
+    found = []
+    _bounded_vectors(
+        (1,) * n,
+        tuple(tuple(row[i] for row in rows) for i in range(n)),
+        len(rows),
+        max_degree,
+        lambda e, _: found.append(tuple(e)),
+        len(action.torus_weights),
+        tuple(m for m, _ in action.finite_factors),
+    )
+    return tuple(sort_monomials(found))
 
 
 def _factorable(monomials, generators) -> dict:
@@ -309,39 +328,6 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _generator_monomials(pres: MonoidPresentation, bound: int):
-    """All exponent vectors over the generators with expansion degree <= bound.
-
-    Yields (genexp, expansion) pairs; enumeration order is deterministic.
-    """
-    gens = pres.generators
-    degs = pres.generator_degrees()
-    g = len(gens)
-    n = pres.ambient_dim
-    cur = [0] * g
-    amb = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == g:
-            yield tuple(cur), tuple(amb)
-            return
-        yield from rec(i + 1, remaining)
-        d = degs[i]
-        e = 0
-        while (e + 1) * d <= remaining:
-            e += 1
-            cur[i] = e
-            for j, gj in enumerate(gens[i]):
-                amb[j] += gj
-            yield from rec(i + 1, remaining - e * d)
-        if e:
-            for j, gj in enumerate(gens[i]):
-                amb[j] -= e * gj
-            cur[i] = 0
-
-    yield from rec(0, bound)
-
-
 def _genmon_sign(genexp, gen_signs) -> int:
     if gen_signs is None:
         return 1
@@ -370,9 +356,15 @@ def _closure(
     generating set of the congruence up to the bound.
     """
     fibers: dict = {}
-    for genexp, amb in _generator_monomials(pres, bound):
-        key = (amb, _genmon_sign(genexp, gen_signs))
+
+    def visit(genexp, amb):
+        genexp = tuple(genexp)
+        key = (tuple(amb), _genmon_sign(genexp, gen_signs))
         fibers.setdefault(key, []).append(genexp)
+
+    _bounded_vectors(
+        pres.generator_degrees(), pres.generators, pres.ambient_dim, bound, visit
+    )
 
     by_relation: dict = {}
     for u, v in given_relations:
@@ -461,6 +453,45 @@ def relation_profile(pres: MonoidPresentation) -> dict:
     return profile
 
 
+def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
+    """Relations among the selected generators only, at twice their top degree."""
+    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep))
+    bound = 2 * max(sum(g) for g in sub.generators)
+    return len(binomial_relations(sub, bound))
+
+
+def cubic_quadratic_matchings(pres: MonoidPresentation) -> int:
+    """Count unordered cubic-generator pairs whose product factors into quadratics.
+
+    Regenerates the cubic relation family one index pair at a time by looking
+    up a triple of quadratic generators with the same ambient expansion.
+    """
+    quadratics = [i for i, g in enumerate(pres.generators) if sum(g) == 2]
+    cubics = [i for i, g in enumerate(pres.generators) if sum(g) == 3]
+    triple_products = {}
+    for a in quadratics:
+        for b in quadratics:
+            if b < a:
+                continue
+            for c in quadratics:
+                if c < b:
+                    continue
+                amb = tuple(
+                    x + y + z
+                    for x, y, z in zip(
+                        pres.generators[a], pres.generators[b], pres.generators[c]
+                    )
+                )
+                triple_products.setdefault(amb, (a, b, c))
+    count = 0
+    for i, a in enumerate(cubics):
+        for b in cubics[i:]:
+            amb = tuple(x + y for x, y in zip(pres.generators[a], pres.generators[b]))
+            if amb in triple_products:
+                count += 1
+    return count
+
+
 # ---------------------------------------------------------------------------
 # fixed loci of normalizing involutions
 
@@ -507,7 +538,7 @@ def fixed_locus_presentation(
     bound is given, the largest ambient degree among the input relations is
     reused (or twice the top generator degree if there are none).
     """
-    if len(inv.image) != action.ambient_dim != pres.ambient_dim:
+    if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
     _check_normalizes(action, pres, inv)
 
@@ -559,27 +590,19 @@ def fixed_locus_presentation(
 # presentation comparison
 
 
-def match_generators(
-    a: MonoidPresentation, b: MonoidPresentation, variable_map=None
-) -> tuple[int, ...]:
-    """Generator bijection matching exponent vectors, up to a variable map.
+def match_generators(a: MonoidPresentation, b: MonoidPresentation) -> tuple[int, ...]:
+    """Generator bijection matching equal exponent vectors.
 
-    ``variable_map[i]`` names the variable of b corresponding to variable i
-    of a (identity when omitted).  Raises when the matched sets differ.
+    Raises when the ambient dimensions or the generator sets differ.
     """
-    if variable_map is None:
-        if a.ambient_dim != b.ambient_dim:
-            raise ToolkitError("ambient dimensions differ and no variable map given")
-        variable_map = tuple(range(a.ambient_dim))
+    if a.ambient_dim != b.ambient_dim:
+        raise ToolkitError("ambient dimensions differ")
     lookup = {g: i for i, g in enumerate(b.generators)}
     mapping = []
     for g in a.generators:
-        image = [0] * b.ambient_dim
-        for i, e in enumerate(g):
-            image[variable_map[i]] += e
-        j = lookup.get(tuple(image))
+        j = lookup.get(g)
         if j is None:
-            raise ToolkitError(f"generator {g} has no counterpart under the map")
+            raise ToolkitError(f"generator {g} has no counterpart")
         mapping.append(j)
     if len(set(mapping)) != len(b.generators):
         raise ToolkitError("generator correspondence is not a bijection")
@@ -610,59 +633,40 @@ def presentations_isomorphic(
     if sorted(gmap) != list(range(len(b.generators))):
         raise ToolkitError("generator map is not a bijection onto the target")
 
-    def mapped(u):
-        w = [0] * len(gmap)
-        for i, e in enumerate(u):
-            w[gmap[i]] = e
-        return tuple(w)
+    # one image per source generator: its own expansion, then its partner's
+    na = a.ambient_dim
+    images = tuple(g + b.generators[j] for g, j in zip(a.generators, gmap))
+    # source expansion -> [first member, its target expansion, first member
+    # of the fiber whose target expansion differs]
+    fibers: dict = {}
+    count = 0
 
-    fiber_a: dict = {}
-    fiber_b: dict = {}
-    genmons = []
-    cur = [0] * len(a.generators)
+    def visit(u, amb):
+        nonlocal count
+        count += 1
+        source, target = tuple(amb[:na]), tuple(amb[na:])
+        fiber = fibers.get(source)
+        if fiber is None:
+            fibers[source] = [tuple(u), target, None]
+        elif fiber[2] is None and target != fiber[1]:
+            fiber[2] = tuple(u)
 
-    def rec(i, remaining):
-        if i == len(cur):
-            genmons.append(tuple(cur))
-            return
-        for e in range(remaining + 1):
-            cur[i] = e
-            rec(i + 1, remaining - e)
-        cur[i] = 0
+    _bounded_vectors((1,) * len(gmap), images, na + b.ambient_dim, degree_bound, visit)
 
-    rec(0, degree_bound)
-    for u in genmons:
-        fiber_a.setdefault(a.expand(u), []).append(u)
-        fiber_b.setdefault(b.expand(mapped(u)), u)
+    def differ(detail, pair):
+        return IsomorphismResult(False, degree_bound, len(fibers), detail, pair)
 
     image_keys = {}
-    for amb, members in fiber_a.items():
-        keys = {b.expand(mapped(u)) for u in members}
-        if len(keys) > 1:
-            first = members[0]
-            other = next(
-                u for u in members if b.expand(mapped(u)) != b.expand(mapped(first))
-            )
-            return IsomorphismResult(
-                False,
-                degree_bound,
-                len(fiber_a),
-                "congruent on the source, not on the target",
-                counterexample=(first, other),
-            )
-        key = keys.pop()
+    for first, key, other in fibers.values():
+        if other is not None:
+            return differ("congruent on the source, not on the target", (first, other))
         if key in image_keys:
-            return IsomorphismResult(
-                False,
-                degree_bound,
-                len(fiber_a),
-                "congruent on the target, not on the source",
-                counterexample=(members[0], image_keys[key]),
-            )
-        image_keys[key] = members[0]
+            return differ("congruent on the target, not on the source",
+                          (first, image_keys[key]))
+        image_keys[key] = first
     return IsomorphismResult(
         True,
         degree_bound,
-        len(fiber_a),
-        f"fiber partitions agree on {len(genmons)} generator monomials",
+        len(fibers),
+        f"fiber partitions agree on {count} generator monomials",
     )

@@ -15,17 +15,6 @@ from .errors import ToolkitError
 # monomials
 
 
-def as_monomial(exponents) -> tuple[int, ...]:
-    """Validate an exponent vector and freeze it as a tuple."""
-    m = tuple(exponents)
-    for e in m:
-        if not isinstance(e, int) or e < 0:
-            raise ToolkitError(
-                f"monomial exponents must be non-negative integers, got {e!r}"
-            )
-    return m
-
-
 def total_degree(m) -> int:
     return sum(m)
 
@@ -76,13 +65,6 @@ def as_matrix(entries) -> tuple[tuple[int, ...], ...]:
                 if not isinstance(x, int):
                     raise ToolkitError(f"matrix entries must be integers, got {x!r}")
     return rows
-
-
-def transpose(matrix) -> tuple[tuple[int, ...], ...]:
-    rows = as_matrix(matrix)
-    if not rows:
-        return ()
-    return tuple(zip(*rows))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -10,7 +10,7 @@ reports the differences instead of reconciling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .curves import (
     pluecker_dual_degree,
@@ -25,36 +25,38 @@ from .surfaces import ClassBasis, adjunction_genus, bidegree_class, divisor, int
 
 PROVENANCES = ("paper", "derived", "trivial")
 
-CUBIC_LABELS = tuple("abcdefghijklmnopqrs")
-DEGREE2_LABELS = ("bitangent", "nodal_tangent", "reducible")
-
-_CUBIC_DIMENSIONS = {
-    **{label: 2 for label in "ab"},
-    **{label: 1 for label in "cdefgh"},
-    **{label: 0 for label in "ijklmnopqrs"},
+# label: (dimension, description, chi_base, chi_fiber) of each stratum; only
+# the zero-dimensional strata k, n, o, s contribute, the others have fiber chi 0
+_CUBIC_STRATA = {
+    "a": (2, "one invariant node", None, 0),
+    "b": (2, "two nodes swapped by the involution", None, 0),
+    "c": (1, "two invariant nodes", None, 0),
+    "d": (1, "one invariant cusp", None, 0),
+    "e": (1, "three nodes, one invariant", None, 0),
+    "f": (1, "tacnode", None, 0),
+    "g": (1, "two cusps swapped by the involution", None, 0),
+    "h": (1, "two components meeting in four points", None, 0),
+    "i": (0, "cusp and node", None, 0),
+    "j": (0, "tacnode from quadruple contact", None, 0),
+    "k": (0, "three invariant nodes", 120, 2),
+    "l": (0, "two swapped cusps and an invariant node", None, 0),
+    "m": (0, "A5 singularity", None, 0),
+    "n": (0, "two components with an extra node", 378, 3),
+    "o": (0, "two invariant and two swapped nodes", 864, 1),
+    "p": (0, "tacnode and node", None, 0),
+    "q": (0, "D4 singularity", None, 0),
+    "r": (0, "two swapped nodes and an invariant cusp", None, 0),
+    "s": (0, "three components meeting pairwise twice", 45, 1),
 }
+CUBIC_LABELS = tuple(_CUBIC_STRATA)
 
-_CUBIC_DESCRIPTIONS = {
-    "a": "one invariant node",
-    "b": "two nodes swapped by the involution",
-    "c": "two invariant nodes",
-    "d": "one invariant cusp",
-    "e": "three nodes, one invariant",
-    "f": "tacnode",
-    "g": "two cusps swapped by the involution",
-    "h": "two components meeting in four points",
-    "i": "cusp and node",
-    "j": "tacnode from quadruple contact",
-    "k": "three invariant nodes",
-    "l": "two swapped cusps and an invariant node",
-    "m": "A5 singularity",
-    "n": "two components with an extra node",
-    "o": "two invariant and two swapped nodes",
-    "p": "tacnode and node",
-    "q": "D4 singularity",
-    "r": "two swapped nodes and an invariant cusp",
-    "s": "three components meeting pairwise twice",
+# label: (chi_base, chi_fiber, description) of each zero-dimensional stratum
+_DEGREE2_STRATA = {
+    "bitangent": (28, 2, "members doubly tangent to the branch quartic"),
+    "nodal_tangent": (128, 1, "nodal members tangent to the branch quartic"),
+    "reducible": (28, 1, "reducible members, one per bitangent of the quartic"),
 }
+DEGREE2_LABELS = tuple(_DEGREE2_STRATA)
 
 ZERO_FIBER_NOTE = "positive-dimensional fiber strata only; fiber chi is 0"
 
@@ -124,159 +126,106 @@ def total_chi(ledger: Ledger) -> int:
 
 def ledger_rows(ledger: Ledger) -> list[dict]:
     """Rows in the documented structured form used for report emission."""
-    return [
-        {
-            "label": e.label,
-            "dimension": e.dimension,
-            "chi_base": e.chi_base,
-            "chi_fiber": e.chi_fiber,
-            "provenance": e.provenance,
-            "recipe": e.recipe,
-            "description": e.description,
-        }
-        for e in ledger.entries
-    ]
+    return [asdict(e) for e in ledger.entries]
 
 
 # ---------------------------------------------------------------------------
 # the six-dimensional ledger
 
 
-def _cubic_row(label, chi_base, chi_fiber, provenance, recipe=""):
-    return StratumEntry(
-        label,
-        _CUBIC_DIMENSIONS[label],
-        chi_base,
-        chi_fiber,
-        provenance,
-        recipe,
-        _CUBIC_DESCRIPTIONS[label],
-    )
-
-
 def cubic_paper_ledger() -> Ledger:
     """Reference rows: only the zero-dimensional strata k, n, o, s contribute."""
-    entries = []
-    for label in CUBIC_LABELS:
-        if label == "k":
-            entries.append(_cubic_row("k", 120, 2, "paper"))
-        elif label == "n":
-            entries.append(_cubic_row("n", 378, 3, "paper"))
-        elif label == "o":
-            entries.append(_cubic_row("o", 864, 1, "paper"))
-        elif label == "s":
-            entries.append(_cubic_row("s", 45, 1, "paper"))
-        else:
-            entries.append(_cubic_row(label, None, 0, "paper", ZERO_FIBER_NOTE))
-    return Ledger("cubic", "paper", tuple(entries), CUBIC_LABELS)
-
-
-def _bxb_branch_points() -> int:
-    """Branch count of the tangency-divisor cover of the genus-4 branch curve.
-
-    Chains the product-surface arithmetic: pairing with diagonal self
-    intersection -6, tangency divisor 12f1 + 6f2 - 2*diag, adjoint product
-    132, genus 67, then a 4-sheeted cover of the genus-4 curve.
-    """
-    basis = ClassBasis(("f1", "f2", "diag"), ((0, 1, 1), (1, 0, 1), (1, 1, -6)))
-    tangency = bidegree_class(basis, 1, 2, 6) - 2 * divisor(basis, diag=1)
-    canonical = bidegree_class(basis, 1, 1, 6)
-    k_degree = intersect(canonical + tangency, tangency)
-    return riemann_hurwitz_branch(adjunction_genus(k_degree), 4, 4)
-
-
-DERIVED_RECIPES = {
-    "k": "theta_characteristics(4, odd)",
-    "n": "riemann_hurwitz_branch(4, 0, 4) * 27 dual lines",
-    "o": "pluecker_solve_bf(6, 18, 4) bitangent count * 12 nodal members"
-    " - 2 * 108 branch points",
-    "s": "tritangent triple count of the 27-line configuration",
-}
-
-
-def derive_entry(label: str, strict: bool = True) -> StratumEntry:
-    """Recompute a contributing row through the other modules.
-
-    Only k, n, o, s have recipes; other labels raise in strict mode and fall
-    back to the reference row otherwise.  Fiber chi values stay reference
-    data (their finite ingredients are verified by fiber_point_checks).
-    """
-    if label == "k":
-        base = theta_characteristics(4, "odd")
-        fiber = 2
-    elif label == "n":
-        config = build_configuration()
-        base = riemann_hurwitz_branch(4, 0, 4) * dual_stratification_counts(
-            config
-        ).dual_line_count
-        fiber = 3
-    elif label == "o":
-        bitangents, _ = pluecker_solve_bf(6, pluecker_dual_degree(6, 6, 0), 4)
-        nodal_members = solve_unknown_count(12, (), 1)
-        base = bitangents * nodal_members - 2 * _bxb_branch_points()
-        fiber = 1
-    elif label == "s":
-        base = len(tritangent_triples(build_configuration()))
-        fiber = 1
-    else:
-        if strict:
-            raise LedgerError(f"stratum {label!r} has no derivation recipe")
-        return cubic_paper_ledger().entry(label)
-    return _cubic_row(label, base, fiber, "derived", DERIVED_RECIPES[label])
-
-
-def cubic_derived_ledger() -> Ledger:
-    entries = [
-        derive_entry(label, strict=False) if label in DERIVED_RECIPES
-        else cubic_paper_ledger().entry(label)
-        for label in CUBIC_LABELS
-    ]
-    return Ledger("cubic", "derived", tuple(entries), CUBIC_LABELS)
-
-
-# ---------------------------------------------------------------------------
-# the degree-2 Del Pezzo companion ledger
+    entries = tuple(
+        StratumEntry(label, dimension, chi_base, chi_fiber, "paper",
+                     "" if chi_fiber else ZERO_FIBER_NOTE, description)
+        for label, (dimension, description, chi_base, chi_fiber) in _CUBIC_STRATA.items()
+    )
+    return Ledger("cubic", "paper", entries, CUBIC_LABELS)
 
 
 def degree2_paper_ledger() -> Ledger:
-    entries = (
-        StratumEntry(
-            "bitangent", 0, 28, 2, "paper",
-            description="members doubly tangent to the branch quartic",
-        ),
-        StratumEntry(
-            "nodal_tangent", 0, 128, 1, "paper",
-            description="nodal members tangent to the branch quartic",
-        ),
-        StratumEntry(
-            "reducible", 0, 28, 1, "paper",
-            description="reducible members, one per bitangent of the quartic",
-        ),
+    entries = tuple(
+        StratumEntry(label, 0, chi_base, chi_fiber, "paper", description=description)
+        for label, (chi_base, chi_fiber, description) in _DEGREE2_STRATA.items()
     )
     return Ledger("degree2", "paper", entries, DEGREE2_LABELS)
 
 
-def degree2_derived_ledger() -> Ledger:
-    """Derived companion rows; the nodal count has no recipe and is carried over."""
-    paper = degree2_paper_ledger()
-    theta = theta_characteristics(3, "odd")
-    bitangents, _ = pluecker_solve_bf(4, pluecker_dual_degree(4, 0, 0), 3)
-    entries = (
-        replace(
-            paper.entry("bitangent"),
-            chi_base=theta,
-            provenance="derived",
-            recipe="theta_characteristics(3, odd)",
-        ),
-        paper.entry("nodal_tangent"),
-        replace(
-            paper.entry("reducible"),
-            chi_base=bitangents,
-            provenance="derived",
-            recipe="pluecker_solve_bf(4, 12, 3) bitangent count",
-        ),
+# ---------------------------------------------------------------------------
+# derived rows
+
+
+def tangency_adjoint_degree(basis: ClassBasis) -> int:
+    """(K + T).T for the tangency divisor T = 12f1 + 6f2 - 2*diag on C x C.
+
+    K = 6f1 + 6f2 and 12f1 + 6f2 are the restrictions of the bidegree (1, 1)
+    and (1, 2) forms; the pairing of ``basis`` fixes the number, 132 when
+    diag.f1 = diag.f2 = 1 and diag^2 = -6.
+    """
+    tangency = bidegree_class(basis, 1, 2, 6) - 2 * divisor(basis, diag=1)
+    canonical = bidegree_class(basis, 1, 1, 6)
+    return intersect(canonical + tangency, tangency)
+
+
+def _o_chi_base(basis: ClassBasis) -> int:
+    bitangents, _ = pluecker_solve_bf(6, pluecker_dual_degree(6, 6, 0), 4)
+    nodal_members = solve_unknown_count(12, (), 1)
+    # branch points of the 4-sheeted tangency-curve cover of the genus-4 curve
+    branch = riemann_hurwitz_branch(adjunction_genus(tangency_adjoint_degree(basis)), 4, 4)
+    return bitangents * nodal_members - 2 * branch
+
+
+# label -> (recipe, chi_base from the curve-square basis)
+DERIVED_RECIPES = {
+    "k": ("theta_characteristics(4, odd)", lambda _: theta_characteristics(4, "odd")),
+    "n": (
+        "riemann_hurwitz_branch(4, 0, 4) * 27 dual lines",
+        lambda _: riemann_hurwitz_branch(4, 0, 4)
+        * dual_stratification_counts(build_configuration()).dual_line_count,
+    ),
+    "o": (
+        "pluecker_solve_bf(6, 18, 4) bitangent count * 12 nodal members"
+        " - 2 * 108 branch points",
+        _o_chi_base,
+    ),
+    "s": (
+        "tritangent triple count of the 27-line configuration",
+        lambda _: len(tritangent_triples(build_configuration())),
+    ),
+    "bitangent": (
+        "theta_characteristics(3, odd)", lambda _: theta_characteristics(3, "odd")
+    ),
+    "reducible": (
+        "pluecker_solve_bf(4, 12, 3) bitangent count",
+        lambda _: pluecker_solve_bf(4, pluecker_dual_degree(4, 0, 0), 3)[0],
+    ),
+}
+
+
+def derive_entry(row: StratumEntry, basis: ClassBasis) -> StratumEntry:
+    """Recompute the base chi of a row through the other modules.
+
+    Only rows labeled in DERIVED_RECIPES can be derived; others raise.  The
+    fiber chi stays reference data (its finite ingredients are verified by
+    fiber_point_checks).
+    """
+    if row.label not in DERIVED_RECIPES:
+        raise LedgerError(f"stratum {row.label!r} has no derivation recipe")
+    recipe, chi_base = DERIVED_RECIPES[row.label]
+    return replace(row, chi_base=chi_base(basis), provenance="derived", recipe=recipe)
+
+
+def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:
+    """The reference ledger with every row that has a recipe recomputed.
+
+    Rows without a recipe are copied unchanged.  ``basis`` is the
+    curve-square pairing the route to ``o`` runs through.
+    """
+    entries = tuple(
+        derive_entry(e, basis) if e.label in DERIVED_RECIPES else e
+        for e in reference.entries
     )
-    return Ledger("degree2", "derived", entries, DEGREE2_LABELS)
+    return replace(reference, mode="derived", entries=entries)
 
 
 # ---------------------------------------------------------------------------

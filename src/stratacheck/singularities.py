@@ -42,11 +42,6 @@ class CyclicDiagonalElement:
             self.order // g, tuple(a // g for a in self.exponents)
         )
 
-    def inverse(self) -> "CyclicDiagonalElement":
-        return CyclicDiagonalElement(
-            self.order, tuple((-a) % self.order for a in self.exponents)
-        )
-
     def compose(self, other: "CyclicDiagonalElement") -> "CyclicDiagonalElement":
         if len(self.exponents) != len(other.exponents):
             raise ToolkitError("elements act on spaces of different dimensions")

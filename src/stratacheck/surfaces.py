@@ -63,9 +63,6 @@ class DivisorClass:
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(self.basis, tuple(scalar * a for a in self.coefficients))
 
-    def __neg__(self) -> "DivisorClass":
-        return -1 * self
-
 
 def divisor(basis: ClassBasis, **coefficients: int) -> DivisorClass:
     """Build a class from label=coefficient keywords; omitted labels are zero."""

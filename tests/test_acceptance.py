@@ -35,7 +35,7 @@ from stratacheck.invariants import (
     toric_relations,
 )
 from stratacheck.ledger import (
-    cubic_derived_ledger,
+    derived_ledger,
     cubic_paper_ledger,
     degree2_paper_ledger,
     discrepancy_report,
@@ -244,11 +244,15 @@ def test_criterion_6_discrepancy_detection():
         assert flex_count(6, 6, 0) == 36
         assert pluecker_dual_degree(6, 6, 0) == 18
 
-        found = discrepancy_report(cubic_paper_ledger(), cubic_derived_ledger())
+        paper = cubic_paper_ledger()
+        derived = derived_ledger(
+            paper, builtin_config().require("bases", "curve-square")
+        )
+        found = discrepancy_report(paper, derived)
         assert len(found) == 1
         assert found[0].label == "o"
         assert (found[0].paper_value, found[0].derived_value) == (864, 936)
-        assert total_chi(cubic_derived_ledger()) == 2355
+        assert total_chi(derived) == 2355
         assert total_chi(cubic_paper_ledger()) == 2283
 
         # the solver is right where the reference data is self-consistent

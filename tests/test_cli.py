@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from stratacheck import __version__
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
+from stratacheck.curves import riemann_hurwitz_branch
 from stratacheck.errors import ConfigError
+from stratacheck.ledger import ledger_rows
 from stratacheck.report import (
     DISCREPANCY,
     PASS,
@@ -174,3 +177,89 @@ def test_text_report_shape():
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("mode", ["derived", "paper"])
+def test_verify_all_matches_golden_report(mode, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    main(["verify-all", "--mode", mode, "--json", str(out)])
+    assert capsys.readouterr().out == (DATA / f"verify-all-{mode}.txt").read_text()
+    assert out.read_text() == (DATA / f"verify-all-{mode}.json").read_text()
+
+
+def _cubic_rows(**chi_base):
+    """The built-in cubic ledger rows as config JSON, with chi_base overrides."""
+    rows = ledger_rows(builtin_config().require("ledgers", "cubic"))
+    for row in rows:
+        row["chi_base"] = chi_base.get(row["label"], row["chi_base"])
+    return rows
+
+
+def _run_with(tmp_path, document, section="euler"):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    return {r.name: r for r in run_section(section, load_config(path))}
+
+
+def test_derived_ledger_reads_the_configured_pairing(tmp_path):
+    square = {"labels": ["f1", "f2", "diag"],
+              "pairing": [[0, 1, 1], [1, 0, 1], [1, 1, -4]]}
+    by_name = _run_with(tmp_path, {"bases": {"curve-square": square}}, "verify-all")
+    assert by_name["intersect.adjoint-product"].computed == 140
+    case_o = by_name["euler.derived.case-o"]
+    assert case_o.status == DISCREPANCY
+    # 96 bitangents * 12 nodal members - 2 * RH(71, 4, 4)
+    assert case_o.computed == 96 * 12 - 2 * riemann_hurwitz_branch(71, 4, 4) == 920
+
+
+def test_derived_ledger_copies_rows_without_recipe(tmp_path):
+    by_name = _run_with(
+        tmp_path, {"ledgers": {"cubic": {"entries": _cubic_rows(a=0)}}}
+    )
+    found = [r for r in by_name.values() if r.status != PASS]
+    assert [r.name for r in found] == ["euler.derived.case-o"]
+    assert (found[0].status, found[0].expected, found[0].computed) == (
+        DISCREPANCY, 864, 936,
+    )
+
+
+def test_corrected_reference_row_passes_its_case(tmp_path):
+    by_name = _run_with(
+        tmp_path, {"ledgers": {"cubic": {"entries": _cubic_rows(o=936)}}}
+    )
+    assert by_name["euler.derived.case-o"].status == PASS
+    assert by_name["euler.cubic-ledger-total"].status == "fail"
+
+
+def test_unexpected_derived_mismatch_fails_under_its_own_name(tmp_path):
+    by_name = _run_with(
+        tmp_path, {"ledgers": {"cubic": {"entries": _cubic_rows(k=121)}}}
+    )
+    assert by_name["euler.derived.case-k"].status == "fail"
+    assert by_name["euler.derived.case-o"].status == DISCREPANCY
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"actions": {"torus-pair": {"ambient_dim": 2, "torus_weights": [[1, -3]]}}},
+        {"bases": {"curve-square": {"labels": ["f1", "f2", "d"],
+                                    "pairing": [[0, 1, 1], [1, 0, 1], [1, 1, -6]]}}},
+    ],
+    ids=["short-action", "basis-without-diag"],
+)
+def test_config_errors_become_error_records(document, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    assert main(["verify-all", "--strict", "--config", str(path)]) == 2
+    assert "[ERROR]" in capsys.readouterr().out
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    assert main(["euler", "--config", str(tmp_path / "absent.json")]) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert main(["euler", "--config", str(tmp_path)]) == 3
+    assert "config error:" in capsys.readouterr().err

@@ -243,7 +243,7 @@ def test_triple_fixed_locus_generators_and_relations():
 
 def test_identity_involution_keeps_presentation():
     pair = toric_relations(PAIR, invariant_generators(PAIR, 4), 4)
-    same = fixed_locus_presentation(PAIR, pair, CoordinateInvolution.identity(8))
+    same = fixed_locus_presentation(PAIR, pair, CoordinateInvolution(tuple(range(8))))
     assert same == pair
 
 
@@ -266,6 +266,17 @@ def test_sign_involution_zeroes_fixed_variables():
     assert fixed.ambient_dim == 1
     assert fixed.generators == ((2,),)
     assert fixed.relations == ()
+
+
+def test_fixed_locus_rejects_mismatched_dimensions():
+    # an 8-variable involution on a 2-variable action and presentation
+    action = DiagonalAction(2, ((1, -3),))
+    pres = toric_relations(action, invariant_generators(action, 4), 4)
+    with pytest.raises(ToolkitError, match="dimensions differ"):
+        fixed_locus_presentation(action, pres, SWAP_PAIR)
+    # a matching involution on a presentation of another dimension
+    with pytest.raises(ToolkitError, match="dimensions differ"):
+        fixed_locus_presentation(PAIR, pres, SWAP_PAIR)
 
 
 def test_involution_must_square_to_identity():

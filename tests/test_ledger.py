@@ -3,21 +3,27 @@ from dataclasses import replace
 
 import pytest
 
+from stratacheck.config import builtin_config
 from stratacheck.errors import LedgerError
 from stratacheck.ledger import (
     CUBIC_LABELS,
     Ledger,
     StratumEntry,
-    cubic_derived_ledger,
     cubic_paper_ledger,
-    degree2_derived_ledger,
     degree2_paper_ledger,
     derive_entry,
+    derived_ledger,
     discrepancy_report,
     discriminant_degree_sum,
     fiber_point_checks,
     total_chi,
 )
+
+CURVE_SQUARE = builtin_config().require("bases", "curve-square")
+
+
+def _derive(label):
+    return derive_entry(cubic_paper_ledger().entry(label), CURVE_SQUARE)
 
 
 def test_cubic_paper_total():
@@ -41,30 +47,29 @@ def test_degree2_paper_total():
 
 
 def test_derived_entries():
-    assert derive_entry("k").chi_base == 120
-    assert derive_entry("k").chi_fiber == 2
-    assert derive_entry("n").chi_base == 378
-    assert derive_entry("n").chi_fiber == 3
-    assert derive_entry("o").chi_base == 936
-    assert derive_entry("o").chi_fiber == 1
-    assert derive_entry("s").chi_base == 45
+    assert _derive("k").chi_base == 120
+    assert _derive("k").chi_fiber == 2
+    assert _derive("n").chi_base == 378
+    assert _derive("n").chi_fiber == 3
+    assert _derive("o").chi_base == 936
+    assert _derive("o").chi_fiber == 1
+    assert _derive("s").chi_base == 45
 
 
 def test_underivable_label_strictness():
     with pytest.raises(LedgerError):
-        derive_entry("a")
-    fallback = derive_entry("a", strict=False)
-    assert fallback.chi_fiber == 0 and fallback.provenance == "paper"
+        _derive("a")
 
 
 def test_derived_ledger_totals():
-    derived = cubic_derived_ledger()
+    derived = derived_ledger(cubic_paper_ledger(), CURVE_SQUARE)
     assert total_chi(derived) == 2355
     assert derived.entry("o").chi_base == 936
 
 
 def test_single_discrepancy_between_paper_and_derived():
-    found = discrepancy_report(cubic_paper_ledger(), cubic_derived_ledger())
+    paper = cubic_paper_ledger()
+    found = discrepancy_report(paper, derived_ledger(paper, CURVE_SQUARE))
     assert len(found) == 1
     d = found[0]
     assert d.label == "o"
@@ -78,7 +83,7 @@ def test_identical_ledgers_have_no_discrepancies():
 
 
 def test_degree2_ledgers_agree():
-    derived = degree2_derived_ledger()
+    derived = derived_ledger(degree2_paper_ledger(), CURVE_SQUARE)
     assert discrepancy_report(degree2_paper_ledger(), derived) == ()
     assert derived.entry("bitangent").provenance == "derived"
     assert derived.entry("reducible").provenance == "derived"
