@@ -32,7 +32,6 @@ from .errors import (
     NonSaturationError,
     QuasiReflectionError,
     ToolkitError,
-    UnsupportedConfigurationError,
 )
 from .invariants import (
     CoordinateInvolution,
@@ -50,9 +49,6 @@ from .invariants import (
 from .lattice import (
     integer_kernel,
     matrix_rank,
-    monomial_divides,
-    monomial_multiply,
-    monomial_quotient,
     sort_monomials,
     total_degree,
 )
@@ -72,11 +68,10 @@ from .ledger import (
     total_chi,
 )
 from .lines27 import (
-    Configuration27,
-    Line,
+    LineConfiguration,
     build_configuration,
     dual_stratification_counts,
-    tritangent_triples,
+    tritangent_type_counts,
 )
 from .singularities import (
     CyclicDiagonalElement,

@@ -102,14 +102,22 @@ def _int_list(values, where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _optional_list(table: dict, key: str, where: str) -> list:
+    value = table.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: field {key!r} must be a list")
+    return value
+
+
 def _parse_action(name: str, raw: dict) -> DiagonalAction:
     where = f"actions.{name}"
     dim = _need(raw, "ambient_dim", int, where)
     torus = tuple(
-        _int_list(row, f"{where}.torus_weights") for row in raw.get("torus_weights", [])
+        _int_list(row, f"{where}.torus_weights")
+        for row in _optional_list(raw, "torus_weights", where)
     )
     finite = []
-    for pair in raw.get("finite_factors", []):
+    for pair in _optional_list(raw, "finite_factors", where):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{where}.finite_factors: expected [modulus, weights]")
         modulus, weights = pair

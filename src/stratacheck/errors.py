@@ -33,10 +33,6 @@ class InconsistentInputError(ToolkitError):
     """An exact solve has no admissible (non-negative / integral) solution."""
 
 
-class UnsupportedConfigurationError(ToolkitError):
-    """A line configuration other than the modeled one was requested."""
-
-
 class LedgerError(ToolkitError):
     """A stratification ledger is incomplete or internally inconsistent."""
 

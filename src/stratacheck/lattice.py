@@ -28,27 +28,6 @@ def sort_monomials(monomials) -> list[tuple[int, ...]]:
     return sorted(monomials, key=grlex_key)
 
 
-def monomial_multiply(a, b) -> tuple[int, ...]:
-    """Componentwise sum of exponent vectors of equal length."""
-    if len(a) != len(b):
-        raise ToolkitError(f"ambient dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a, b) -> bool:
-    """True when a divides b, i.e. a <= b componentwise."""
-    if len(a) != len(b):
-        raise ToolkitError(f"ambient dimension mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_quotient(b, a) -> tuple[int, ...]:
-    """Exponent vector of b/a; a must divide b."""
-    if not monomial_divides(a, b):
-        raise ToolkitError(f"{a} does not divide {b}")
-    return tuple(y - x for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # integer matrices
 

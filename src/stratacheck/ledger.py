@@ -20,7 +20,7 @@ from .curves import (
     theta_characteristics,
 )
 from .errors import LedgerError
-from .lines27 import build_configuration, dual_stratification_counts, tritangent_triples
+from .lines27 import build_configuration
 from .surfaces import ClassBasis, adjunction_genus, bidegree_class, divisor, intersect
 
 PROVENANCES = ("paper", "derived", "trivial")
@@ -167,37 +167,42 @@ def tangency_adjoint_degree(basis: ClassBasis) -> int:
     return intersect(canonical + tangency, tangency)
 
 
-def _o_chi_base(basis: ClassBasis) -> int:
-    bitangents, _ = pluecker_solve_bf(6, pluecker_dual_degree(6, 6, 0), 4)
+def _o_derivation(basis: ClassBasis) -> tuple[int, str]:
+    d_star = pluecker_dual_degree(6, 6, 0)
+    bitangents, _ = pluecker_solve_bf(6, d_star, 4)
     nodal_members = solve_unknown_count(12, (), 1)
     # branch points of the 4-sheeted tangency-curve cover of the genus-4 curve
     branch = riemann_hurwitz_branch(adjunction_genus(tangency_adjoint_degree(basis)), 4, 4)
-    return bitangents * nodal_members - 2 * branch
+    return (
+        bitangents * nodal_members - 2 * branch,
+        f"pluecker_solve_bf(6, {d_star}, 4) bitangent count * {nodal_members} nodal "
+        f"members - 2 * {branch} branch points",
+    )
 
 
-# label -> (recipe, chi_base from the curve-square basis)
+def _n_derivation(_) -> tuple[int, str]:
+    lines = len(build_configuration().lines)
+    return (
+        riemann_hurwitz_branch(4, 0, 4) * lines,
+        f"riemann_hurwitz_branch(4, 0, 4) * {lines} dual lines",
+    )
+
+
+# label -> derivation from the curve-square basis, giving (chi_base, recipe)
 DERIVED_RECIPES = {
-    "k": ("theta_characteristics(4, odd)", lambda _: theta_characteristics(4, "odd")),
-    "n": (
-        "riemann_hurwitz_branch(4, 0, 4) * 27 dual lines",
-        lambda _: riemann_hurwitz_branch(4, 0, 4)
-        * dual_stratification_counts(build_configuration()).dual_line_count,
-    ),
-    "o": (
-        "pluecker_solve_bf(6, 18, 4) bitangent count * 12 nodal members"
-        " - 2 * 108 branch points",
-        _o_chi_base,
-    ),
-    "s": (
+    "k": lambda _: (theta_characteristics(4, "odd"), "theta_characteristics(4, odd)"),
+    "n": _n_derivation,
+    "o": _o_derivation,
+    "s": lambda _: (
+        len(build_configuration().planes),
         "tritangent triple count of the 27-line configuration",
-        lambda _: len(tritangent_triples(build_configuration())),
     ),
-    "bitangent": (
-        "theta_characteristics(3, odd)", lambda _: theta_characteristics(3, "odd")
+    "bitangent": lambda _: (
+        theta_characteristics(3, "odd"), "theta_characteristics(3, odd)"
     ),
-    "reducible": (
+    "reducible": lambda _: (
+        pluecker_solve_bf(4, pluecker_dual_degree(4, 0, 0), 3)[0],
         "pluecker_solve_bf(4, 12, 3) bitangent count",
-        lambda _: pluecker_solve_bf(4, pluecker_dual_degree(4, 0, 0), 3)[0],
     ),
 }
 
@@ -211,8 +216,8 @@ def derive_entry(row: StratumEntry, basis: ClassBasis) -> StratumEntry:
     """
     if row.label not in DERIVED_RECIPES:
         raise LedgerError(f"stratum {row.label!r} has no derivation recipe")
-    recipe, chi_base = DERIVED_RECIPES[row.label]
-    return replace(row, chi_base=chi_base(basis), provenance="derived", recipe=recipe)
+    chi_base, recipe = DERIVED_RECIPES[row.label](basis)
+    return replace(row, chi_base=chi_base, provenance="derived", recipe=recipe)
 
 
 def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:

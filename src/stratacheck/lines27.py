@@ -1,137 +1,95 @@
-"""Combinatorial model of the 27 lines on a smooth cubic surface.
+"""The 27 lines on a smooth cubic surface, derived from its Picard lattice.
 
-Lines carry the blowup-model labels: six exceptional classes E_i, six conic
-classes G_j, and fifteen span classes F_ij.  Incidence is the standard rule
-derived from the intersection numbers of those classes; no coordinates or
-surface equation appear anywhere.
+The surface is the plane blown up in six points: its Picard lattice is
+Z^{1,6} with basis h, e1..e6, pairing diag(1, -1, ..., -1) and canonical
+class K = -3h + e1 + ... + e6.  The lines are the classes L with L.L = -1 and
+K.L = -1, two lines meet when L.L' = 1, and the tritangent planes are the
+triangles of that incidence graph (Manin, *Cubic Forms*, 1974; Hartshorne,
+*Algebraic Geometry*, V.4).  The derivation runs once per process, on first
+use, and every count is read off it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, count, product, takewhile
+from math import isqrt
 
-from .errors import ToolkitError, UnsupportedConfigurationError
+from .errors import ToolkitError
+from .surfaces import ClassBasis, DivisorClass, divisor, intersect
 
-INDEX_RANGE = (1, 2, 3, 4, 5, 6)
+_EXCEPTIONAL = tuple(f"e{i}" for i in range(1, 7))
+_DIAGONAL = (1,) + (-1,) * len(_EXCEPTIONAL)
+PICARD = ClassBasis(
+    ("h",) + _EXCEPTIONAL,
+    [[d if i == j else 0 for j in range(len(_DIAGONAL))] for i, d in enumerate(_DIAGONAL)],
+)
+CANONICAL = divisor(PICARD, h=-3, **dict.fromkeys(_EXCEPTIONAL, 1))
 
-
-@dataclass(frozen=True, order=True)
-class Line:
-    """One of the 27 labels: E_i, G_j, or F_ij with i < j."""
-
-    kind: str
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if self.kind in ("E", "G"):
-            if len(self.indices) != 1 or self.indices[0] not in INDEX_RANGE:
-                raise ToolkitError(f"bad {self.kind} label {self.indices}")
-        elif self.kind == "F":
-            if (
-                len(self.indices) != 2
-                or self.indices[0] >= self.indices[1]
-                or any(i not in INDEX_RANGE for i in self.indices)
-            ):
-                raise ToolkitError(f"bad F label {self.indices}")
-        else:
-            raise ToolkitError(f"unknown line kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        return self.kind + "".join(str(i) for i in self.indices)
-
-
-def are_incident(a: Line, b: Line) -> bool:
-    """Blowup-model incidence rule for two distinct lines.
-
-    E meets no E, G no G; E_i meets G_j for i != j; E_i meets F_kl when
-    i is one of k, l; G_j meets F_kl when j is one of k, l; two F's meet
-    exactly when their index pairs are disjoint.
-    """
-    if a == b:
-        return False
-    kinds = {a.kind, b.kind}
-    if kinds == {"E"} or kinds == {"G"}:
-        return False
-    if kinds == {"E", "G"}:
-        return a.indices[0] != b.indices[0]
-    if kinds == {"E", "F"} or kinds == {"G", "F"}:
-        single, pair = (a, b) if a.kind in ("E", "G") else (b, a)
-        return single.indices[0] in pair.indices
-    # F vs F
-    return not set(a.indices) & set(b.indices)
+# sorted h-degrees of the three lines of a plane -> its report key
+_PLANE_TYPES = {(0, 1, 2): "EGF", (1, 1, 1): "FFF"}
 
 
 @dataclass(frozen=True)
-class Configuration27:
-    lines: tuple[Line, ...]
-    incidences: frozenset
+class LineConfiguration:
+    """``neighbours[i]`` indexes the lines meeting ``lines[i]``; a plane is an
+    increasing triple of line indices."""
 
-    def incident(self, a: Line, b: Line) -> bool:
-        return frozenset((a, b)) in self.incidences
-
-    def neighbors(self, a: Line) -> tuple[Line, ...]:
-        return tuple(b for b in self.lines if self.incident(a, b))
+    lines: tuple[DivisorClass, ...]
+    neighbours: tuple[frozenset[int], ...]
+    planes: tuple[tuple[int, int, int], ...]
 
 
-def build_configuration(model: str = "cubic-surface") -> Configuration27:
-    """The 27-line configuration; no other line configuration is modeled."""
-    if model != "cubic-surface":
-        raise UnsupportedConfigurationError(
-            f"only the cubic-surface configuration is modeled, not {model!r}"
-        )
-    lines = (
-        tuple(Line("E", (i,)) for i in INDEX_RANGE)
-        + tuple(Line("G", (j,)) for j in INDEX_RANGE)
-        + tuple(Line("F", pair) for pair in combinations(INDEX_RANGE, 2))
-    )
-    incidences = frozenset(
-        frozenset((a, b)) for a, b in combinations(lines, 2) if are_incident(a, b)
-    )
-    return Configuration27(lines, incidences)
+def _line_classes() -> list[DivisorClass]:
+    """Every L = a*h - sum b_i*e_i with L.L = -1 and K.L = -1.
 
-
-def tritangent_triples(config: Configuration27) -> frozenset:
-    """All 45 coplanar triples: {E_i, G_j, F_ij} with i != j, and F-partitions."""
-    triples = set()
-    for i in INDEX_RANGE:
-        for j in INDEX_RANGE:
-            if i == j:
+    The conditions read sum b_i^2 = a^2 + 1 and sum b_i = 3a - 1.
+    Cauchy-Schwarz, (3a - 1)^2 <= 6(a^2 + 1), holds exactly for 0 <= a <= 2,
+    and then |b_i| <= isqrt(a^2 + 1) <= 2, so the search is complete.  Each
+    hit is confirmed through ``intersect``.
+    """
+    rank = len(_EXCEPTIONAL)
+    found = []
+    for a in takewhile(lambda a: (3 * a - 1) ** 2 <= rank * (a * a + 1), count()):
+        reach = isqrt(a * a + 1)
+        for b in product(range(-reach, reach + 1), repeat=rank):
+            if sum(b) != 3 * a - 1 or sum(x * x for x in b) != a * a + 1:
                 continue
-            pair = (min(i, j), max(i, j))
-            triples.add(
-                frozenset((Line("E", (i,)), Line("G", (j,)), Line("F", pair)))
-            )
-    rest = INDEX_RANGE[1:]
-    for partner in rest:
-        first = (1, partner)
-        remaining = [i for i in rest if i != partner]
-        a, b, c, d = remaining
-        for second, third in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            triples.add(
-                frozenset((Line("F", first), Line("F", second), Line("F", third)))
-            )
-    for t in triples:
-        for a, b in combinations(sorted(t), 2):
-            if not config.incident(a, b):
-                raise ToolkitError(f"triple {sorted(t)} is not pairwise incident")
-    return frozenset(triples)
+            line = DivisorClass(PICARD, (a,) + tuple(-x for x in b))
+            if intersect(line, line) != -1 or intersect(CANONICAL, line) != -1:
+                raise ToolkitError(f"{line.coefficients} is not a line class")
+            found.append(line)
+    return found
 
 
-def tritangent_type_counts(triples) -> dict[str, int]:
-    """Counts of {E, G, F} versus {F, F, F} labeled triples."""
-    counts = {"EGF": 0, "FFF": 0}
-    for t in triples:
-        kinds = sorted(line.kind for line in t)
-        if kinds == ["E", "F", "G"]:
-            counts["EGF"] += 1
-        elif kinds == ["F", "F", "F"]:
-            counts["FFF"] += 1
-        else:
-            raise ToolkitError(f"unexpected triple kinds {kinds}")
-    return counts
+@cache
+def build_configuration() -> LineConfiguration:
+    """The lines, their incidences and the tritangent planes, derived once."""
+    lines = _line_classes()
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(lines)), 2)
+        if intersect(lines[i], lines[j]) == 1
+    ]
+    neighbours = [set() for _ in lines]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    # each triangle once, from the edge of its two smallest indices
+    planes = tuple(
+        (i, j, k) for i, j in edges for k in sorted(neighbours[i] & neighbours[j]) if k > j
+    )
+    return LineConfiguration(tuple(lines), tuple(map(frozenset, neighbours)), planes)
+
+
+def tritangent_type_counts(config: LineConfiguration) -> dict[str, int]:
+    """Planes keyed by the h-degrees of their lines; any other degrees raise."""
+    return dict(Counter(
+        _PLANE_TYPES[tuple(sorted(config.lines[i].coefficients[0] for i in plane))]
+        for plane in config.planes
+    ))
 
 
 @dataclass(frozen=True)
@@ -142,28 +100,10 @@ class DualStratification:
     lines_per_triple: int
 
 
-def dual_stratification_counts(config: Configuration27) -> DualStratification:
-    """Counts (27, 45, 5, 3) with the double-count identity 27*5 = 45*3.
-
-    Everything is recomputed from the configuration: per-line triple counts
-    must be uniform, and the incidence double count must balance.
-    """
-    triples = tritangent_triples(config)
-    per_line = {
-        line: sum(1 for t in triples if line in t) for line in config.lines
-    }
-    values = set(per_line.values())
-    if len(values) != 1:
-        raise ToolkitError(f"triples per line is not uniform: {sorted(values)}")
-    per_line_count = values.pop()
-    sizes = {len(t) for t in triples}
-    if sizes != {3}:
-        raise ToolkitError(f"unexpected triple sizes {sorted(sizes)}")
-    counts = DualStratification(
-        len(config.lines), len(triples), per_line_count, 3
-    )
-    if counts.dual_line_count * counts.triples_per_line != (
-        counts.triple_point_count * counts.lines_per_triple
-    ):
-        raise ToolkitError("line/triple double count does not balance")
-    return counts
+def dual_stratification_counts(config: LineConfiguration) -> DualStratification:
+    """Counts (27, 45, 5, 3); planes per line and lines per plane are uniform."""
+    per_line = {sum(i in p for p in config.planes) for i in range(len(config.lines))}
+    per_plane = {len(p) for p in config.planes}
+    if len(per_line) != 1 or len(per_plane) != 1:
+        raise ToolkitError("planes per line or lines per plane are not uniform")
+    return DualStratification(len(config.lines), len(config.planes), *per_line, *per_plane)

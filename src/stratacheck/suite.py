@@ -13,7 +13,6 @@ satisfy the dual-curve equations, whose unique solution is 96, so stratum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from . import curves, invariants, ledger, lines27, singularities, surfaces
@@ -40,8 +39,10 @@ EXPECTED_DISCREPANCIES = frozenset({"o"})
 class Check:
     """One row of the battery; ``compute`` reads the run's shared intermediates.
 
-    A row with a ``discrepancy_note`` reports a mismatch as a DISCREPANCY
-    against the reference value, with that note, instead of as a FAIL.
+    ``note`` is text, or a function of the run computed inside the row's
+    guarded call.  A row with a ``discrepancy_note`` reports a mismatch as a
+    DISCREPANCY against the reference value, with that note, instead of as a
+    FAIL.
     """
 
     name: str
@@ -49,7 +50,7 @@ class Check:
     expected: object
     provenance: str
     compute: Callable[["_Run"], object]
-    note: str = ""
+    note: str | Callable[["_Run"], str] = ""
     derived_only: bool = False
     discrepancy_note: Callable[["_Run"], str] | None = None
 
@@ -57,6 +58,24 @@ class Check:
 def _formula(name, inputs, expected, provenance, fn, note=""):
     """A row computed as ``fn(**inputs)``: the inputs are fn's arguments."""
     return Check(name, inputs, expected, provenance, lambda run: fn(**inputs), note)
+
+
+def _shared(compute):
+    """A property computed once per run; a raised exception is kept too and
+    raised again to every later reader instead of being recomputed."""
+
+    def read(run):
+        if compute not in run.outcomes:
+            try:
+                run.outcomes[compute] = (compute(run), None)
+            except Exception as exc:
+                run.outcomes[compute] = (None, exc)
+        value, exc = run.outcomes[compute]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(read)
 
 
 class _Run:
@@ -68,6 +87,7 @@ class _Run:
 
     def __init__(self, config: ConfigDocument):
         self.config = config
+        self.outcomes: dict = {}
 
     def _presentation(self, action, generator_bound, relation_bound):
         act = self.config.require("actions", action)
@@ -81,43 +101,39 @@ class _Run:
             self.config.require("involutions", involution),
         )
 
-    @cached_property
+    @_shared
     def pair(self):
         return self._presentation("torus-pair", 4, 4)
 
-    @cached_property
+    @_shared
     def neg4(self):
         return self._presentation("negation-c4", 4, 4)
 
-    @cached_property
+    @_shared
     def triple(self):
         return self._presentation("torus-triple", 6, 6)
 
-    @cached_property
+    @_shared
     def z2z2(self):
         return self._presentation("z2z2-c6", 4, 6)
 
-    @cached_property
+    @_shared
     def pair_fixed(self):
         return self._fixed_locus("torus-pair", self.pair, "swap-pair")
 
-    @cached_property
+    @_shared
     def triple_fixed(self):
         return self._fixed_locus("torus-triple", self.triple, "swap-triple")
 
-    @cached_property
+    @_shared
     def curve_square(self):
         return self.config.require("bases", "curve-square")
 
-    @cached_property
+    @_shared
     def lines(self):
         return lines27.build_configuration()
 
-    @cached_property
-    def triples(self):
-        return lines27.tritangent_triples(self.lines)
-
-    @cached_property
+    @_shared
     def line_counts(self):
         return lines27.dual_stratification_counts(self.lines)
 
@@ -331,10 +347,10 @@ def _battery(config: ConfigDocument) -> list[Check]:
         # the 27 lines
         Check("lines27.line-count", {}, 27, "paper", lambda r: len(r.lines.lines)),
         Check("lines27.regular-degrees", {}, [10], "derived",
-              lambda r: sorted({len(r.lines.neighbors(line)) for line in r.lines.lines})),
-        Check("lines27.tritangent-count", {}, 45, "paper", lambda r: len(r.triples)),
+              lambda r: sorted({len(near) for near in r.lines.neighbours})),
+        Check("lines27.tritangent-count", {}, 45, "paper", lambda r: len(r.lines.planes)),
         Check("lines27.tritangent-type-counts", {}, {"EGF": 30, "FFF": 15}, "derived",
-              lambda r: lines27.tritangent_type_counts(r.triples)),
+              lambda r: lines27.tritangent_type_counts(r.lines)),
         Check("lines27.triples-per-line", {}, 5, "paper",
               lambda r: r.line_counts.triples_per_line),
         Check("lines27.lines-per-triple", {}, 3, "paper",
@@ -367,6 +383,9 @@ def _battery(config: ConfigDocument) -> list[Check]:
               3, "paper", lambda r: ledger.fiber_point_checks().s_equivalence_class_count),
     ]
 
+    def derived_case(r, label):
+        return ledger.derive_entry(cubic.entry(label), r.curve_square)
+
     def discrepancy_note(r, label):
         derived = ledger.derived_ledger(cubic, r.curve_square)
         found = {d.label: d for d in ledger.discrepancy_report(cubic, derived)}
@@ -382,9 +401,9 @@ def _battery(config: ConfigDocument) -> list[Check]:
         rows.append(
             Check(f"euler.derived.case-{label}", {"ledger": "cubic", "label": label},
                   cubic.entry(label).chi_base, "derived",
-                  lambda r, label=label: ledger.derive_entry(
-                      cubic.entry(label), r.curve_square).chi_base,
-                  note=ledger.DERIVED_RECIPES[label][0], derived_only=True,
+                  lambda r, label=label: derived_case(r, label).chi_base,
+                  note=lambda r, label=label: derived_case(r, label).recipe,
+                  derived_only=True,
                   discrepancy_note=(lambda r, label=label: discrepancy_note(r, label))
                   if label in EXPECTED_DISCREPANCIES else None)
         )
@@ -412,6 +431,7 @@ def _evaluate(row: Check, run: _Run) -> CheckRecord:
                 row.name, row.inputs, row.expected, "paper", computed,
                 DISCREPANCY, row.discrepancy_note(run),
             )
+        note = row.note(run) if callable(row.note) else row.note
     except Exception as exc:
         return CheckRecord(
             row.name, row.inputs, row.expected, row.provenance, None, ERROR,
@@ -419,7 +439,7 @@ def _evaluate(row: Check, run: _Run) -> CheckRecord:
         )
     status = PASS if computed == row.expected else FAIL
     return CheckRecord(
-        row.name, row.inputs, row.expected, row.provenance, computed, status, row.note
+        row.name, row.inputs, row.expected, row.provenance, computed, status, note
     )
 
 

@@ -42,7 +42,7 @@ from stratacheck.ledger import (
     discriminant_degree_sum,
     total_chi,
 )
-from stratacheck.lines27 import build_configuration, dual_stratification_counts, tritangent_triples
+from stratacheck.lines27 import build_configuration, dual_stratification_counts
 from stratacheck.report import VerificationReport, render_json, render_text
 from stratacheck.singularities import (
     CyclicDiagonalElement,
@@ -212,7 +212,8 @@ def test_criterion_4_enumerative_suite():
 
         config = build_configuration()
         counts = dual_stratification_counts(config)
-        assert len(tritangent_triples(config)) == 45
+        assert len(config.lines) == 27
+        assert len(config.planes) == 45
         assert counts.triples_per_line == 5
         assert counts.lines_per_triple == 3
         assert counts.dual_line_count * 5 == 45 * 3 == 135

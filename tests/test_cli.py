@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratacheck import __version__
+from stratacheck import __version__, invariants
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
@@ -116,6 +117,37 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["torus_weights", "finite_factors"])
+def test_cli_rejects_non_list_action_fields(field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"actions": {"x": {"ambient_dim": 2, field: 5}}}))
+    assert main(["lines27", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(["ambient_dim", "torus_weights", "finite_factors"]), JSON_VALUES
+))
+def test_action_fields_parse_or_raise_config_error(body):
+    try:
+        document = parse_config({"actions": {"fuzzed": body}}, "fuzz")
+    except ConfigError:
+        return
+    assert "fuzzed" in document.actions
+
+
 def test_config_override_changes_expected_outcome(tmp_path, capsys):
     # replace the cubic ledger rows by a complete but wrong variant
     rows = [
@@ -213,6 +245,8 @@ def test_derived_ledger_reads_the_configured_pairing(tmp_path):
     assert case_o.status == DISCREPANCY
     # 96 bitangents * 12 nodal members - 2 * RH(71, 4, 4)
     assert case_o.computed == 96 * 12 - 2 * riemann_hurwitz_branch(71, 4, 4) == 920
+    assert riemann_hurwitz_branch(71, 4, 4) == 116
+    assert "- 2 * 116 branch points" in case_o.note
 
 
 def test_derived_ledger_copies_rows_without_recipe(tmp_path):
@@ -263,3 +297,24 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert main(["euler", "--config", str(tmp_path)]) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+def test_failing_intermediate_is_computed_once(tmp_path, monkeypatch):
+    calls = []
+    generators = invariants.invariant_generators
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generators(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "invariant_generators", counted)
+    document = {"actions": {"torus-triple": {"ambient_dim": 2, "torus_weights": [[1, -7]]}}}
+    by_name = _run_with(tmp_path, document, "invariants")
+    # one call per presentation: torus-pair, negation-c4, torus-triple, z2z2-c6
+    assert len(calls) == 4
+    failed = [r for r in by_name.values() if r.status == "error"]
+    assert {r.name for r in failed} == {
+        name for name in by_name if name.startswith("invariants.torus-triple.")
+    }
+    assert len(failed) == 9
+    assert len({r.note for r in failed}) == 1

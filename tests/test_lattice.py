@@ -2,18 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from stratacheck.errors import ToolkitError
 from stratacheck.lattice import (
     grlex_key,
     integer_kernel,
     matrix_rank,
-    monomial_divides,
-    monomial_multiply,
-    monomial_quotient,
     sort_monomials,
-    total_degree,
 )
 
 
@@ -35,50 +30,9 @@ def rational_rank(matrix):
     return rank
 
 
-def test_monomial_multiply_examples():
-    assert monomial_multiply((1, 0), (0, 1)) == (1, 1)
-    m = (3, 0, 2, 5)
-    assert monomial_multiply((0, 0, 0, 0), m) == m
-    # x1*y2 times x2*y1 in 8 variables (x1..x4 then y1..y4)
-    x1y2 = (1, 0, 0, 0, 0, 1, 0, 0)
-    x2y1 = (0, 1, 0, 0, 1, 0, 0, 0)
-    assert monomial_multiply(x1y2, x2y1) == (1, 1, 0, 0, 1, 1, 0, 0)
-
-
-def test_monomial_dimension_mismatch():
-    with pytest.raises(ToolkitError):
-        monomial_multiply((1, 0), (1, 0, 0))
-
-
-def test_divides_and_quotient():
-    assert monomial_divides((1, 0, 2), (2, 0, 2))
-    assert not monomial_divides((1, 1, 0), (2, 0, 2))
-    assert monomial_quotient((2, 1, 2), (1, 0, 2)) == (1, 1, 0)
-    with pytest.raises(ToolkitError):
-        monomial_quotient((1, 0), (0, 1))
-
-
 def test_grlex_order_is_degree_then_lex():
     ms = [(0, 2), (1, 0), (2, 0), (1, 1), (0, 0), (0, 1)]
     assert sort_monomials(ms) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-
-@given(
-    st.integers(1, 6).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(0, 9), min_size=n, max_size=n),
-            st.lists(st.integers(0, 9), min_size=n, max_size=n),
-            st.lists(st.integers(0, 9), min_size=n, max_size=n),
-        )
-    )
-)
-def test_multiplication_commutative_associative(triple):
-    a, b, c = (tuple(x) for x in triple)
-    assert monomial_multiply(a, b) == monomial_multiply(b, a)
-    assert monomial_multiply(monomial_multiply(a, b), c) == monomial_multiply(
-        a, monomial_multiply(b, c)
-    )
-    assert total_degree(monomial_multiply(a, b)) == total_degree(a) + total_degree(b)
 
 
 def test_kernel_of_identity_is_empty():

@@ -1,120 +1,179 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
-import pytest
-
-from stratacheck.errors import UnsupportedConfigurationError
 from stratacheck.lines27 import (
-    Line,
-    are_incident,
+    CANONICAL,
+    PICARD,
     build_configuration,
     dual_stratification_counts,
-    tritangent_triples,
     tritangent_type_counts,
 )
+from stratacheck.surfaces import DivisorClass, divisor, intersect
 
 CONFIG = build_configuration()
+LINES = CONFIG.lines
+INDEX = {line.coefficients: i for i, line in enumerate(LINES)}
+
+
+# ---------------------------------------------------------------------------
+# the classical blowup labels, kept here as the oracle for the derivation
+
+
+def classical_class(kind, indices):
+    """E_i = e_i, F_ij = h - e_i - e_j, G_j = 2h - sum of e_k over k != j."""
+    if kind == "E":
+        return divisor(PICARD, **{f"e{indices[0]}": 1})
+    if kind == "F":
+        return divisor(PICARD, h=1, **{f"e{i}": -1 for i in indices})
+    return divisor(PICARD, h=2, **{f"e{k}": -1 for k in range(1, 7) if k != indices[0]})
+
+
+LABELS = (
+    [("E", (i,)) for i in range(1, 7)]
+    + [("G", (j,)) for j in range(1, 7)]
+    + [("F", pair) for pair in combinations(range(1, 7), 2)]
+)
+
+
+def classical_incident(a, b):
+    """E meets no E, G no G; E_i meets G_j for i != j; E_i and G_j meet F_kl
+    when their index is one of k, l; two F's meet when their pairs are disjoint."""
+    if a == b:
+        return False
+    kinds = {a[0], b[0]}
+    if kinds in ({"E"}, {"G"}):
+        return False
+    if kinds == {"E", "G"}:
+        return a[1] != b[1]
+    if "F" in kinds and len(kinds) == 2:
+        single, pair = (a, b) if a[0] != "F" else (b, a)
+        return single[1][0] in pair[1]
+    return not set(a[1]) & set(b[1])
+
+
+def label_of(i):
+    return next(lab for lab in LABELS if classical_class(*lab) == LINES[i])
+
+
+def line_index(kind, indices):
+    return INDEX[classical_class(kind, indices).coefficients]
+
+
+def labelled_planes():
+    return {frozenset(label_of(i) for i in plane) for plane in CONFIG.planes}
+
+
+def incident(i, j):
+    return j in CONFIG.neighbours[i]
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_twenty_seven_lines():
-    assert len(CONFIG.lines) == 27
-    kinds = [line.kind for line in CONFIG.lines]
-    assert kinds.count("E") == 6 and kinds.count("G") == 6 and kinds.count("F") == 15
+    assert len(LINES) == 27
+    assert set(INDEX) == {classical_class(*lab).coefficients for lab in LABELS}
+    for line in LINES:
+        assert intersect(line, line) == -1
+        assert intersect(CANONICAL, line) == -1
+    degrees = [line.coefficients[0] for line in LINES]
+    assert (degrees.count(0), degrees.count(1), degrees.count(2)) == (6, 15, 6)
+
+
+def test_wider_box_brute_force_finds_the_same_classes():
+    # 0 <= a <= 5, |b_i| <= 3: b_6 is fixed by K.L = -1, the other five range
+    found = set()
+    for a in range(6):
+        for head in product(range(-3, 4), repeat=5):
+            b6 = 3 * a - 1 - sum(head)
+            if abs(b6) > 3:
+                continue
+            line = DivisorClass(PICARD, (a,) + tuple(-x for x in head + (b6,)))
+            if intersect(line, line) == -1 and intersect(CANONICAL, line) == -1:
+                found.add(line.coefficients)
+    assert found == set(INDEX)
+
+
+def test_derived_incidence_matches_the_classical_rule():
+    for a, b in combinations(LABELS, 2):
+        i = INDEX[classical_class(*a).coefficients]
+        j = INDEX[classical_class(*b).coefficients]
+        assert incident(i, j) == classical_incident(a, b), (a, b)
+        assert incident(i, j) == (intersect(LINES[i], LINES[j]) == 1)
 
 
 def test_incidence_rule_spot_checks():
-    e1, e2 = Line("E", (1,)), Line("E", (2,))
-    g1, g2 = Line("G", (1,)), Line("G", (2,))
-    f12, f13, f34 = Line("F", (1, 2)), Line("F", (1, 3)), Line("F", (3, 4))
-    assert not are_incident(e1, e2)
-    assert not are_incident(g1, g2)
-    assert not are_incident(e1, g1)
-    assert are_incident(e1, g2)
-    assert are_incident(e1, f12)
-    assert not are_incident(e1, f34)
-    assert are_incident(g1, f12)
-    assert not are_incident(g1, f34)
-    assert are_incident(f12, f34)
-    assert not are_incident(f12, f13)
-    assert not are_incident(f12, f12)
+    pairs = {
+        (("E", (1,)), ("E", (2,))): False,
+        (("G", (1,)), ("G", (2,))): False,
+        (("E", (1,)), ("G", (1,))): False,
+        (("E", (1,)), ("G", (2,))): True,
+        (("E", (1,)), ("F", (1, 2))): True,
+        (("E", (1,)), ("F", (3, 4))): False,
+        (("G", (1,)), ("F", (1, 2))): True,
+        (("G", (1,)), ("F", (3, 4))): False,
+        (("F", (1, 2)), ("F", (3, 4))): True,
+        (("F", (1, 2)), ("F", (1, 3))): False,
+        (("F", (1, 2)), ("F", (1, 2))): False,
+    }
+    for (a, b), meets in pairs.items():
+        assert classical_incident(a, b) == meets, (a, b)
+        assert incident(line_index(*a), line_index(*b)) == meets, (a, b)
+    # disjoint lines have intersection number 0
+    assert intersect(classical_class("E", (1,)), classical_class("G", (1,))) == 0
 
 
 def test_graph_is_ten_regular():
-    degrees = {line: len(CONFIG.neighbors(line)) for line in CONFIG.lines}
-    assert set(degrees.values()) == {10}
-    e1 = Line("E", (1,))
-    expected = {Line("G", (j,)) for j in range(2, 7)} | {
-        Line("F", (1, l)) for l in range(2, 7)
+    assert {len(near) for near in CONFIG.neighbours} == {10}
+    expected = {line_index("G", (j,)) for j in range(2, 7)} | {
+        line_index("F", (1, k)) for k in range(2, 7)
     }
-    assert set(CONFIG.neighbors(e1)) == expected
+    assert CONFIG.neighbours[line_index("E", (1,))] == expected
 
 
 def test_strongly_regular_parameters():
-    lines = CONFIG.lines
-    for a, b in combinations(lines, 2):
-        common = sum(
-            1
-            for c in lines
-            if c not in (a, b) and CONFIG.incident(a, c) and CONFIG.incident(b, c)
-        )
-        if CONFIG.incident(a, b):
-            assert common == 1, (a, b)
-        else:
-            assert common == 5, (a, b)
+    # (27, 10, 1, 5): meeting lines share one neighbour, disjoint ones five
+    for i, j in combinations(range(27), 2):
+        common = len(CONFIG.neighbours[i] & CONFIG.neighbours[j])
+        assert common == (1 if incident(i, j) else 5), (i, j)
 
 
 def test_incidence_symmetric_irreflexive():
-    for a in CONFIG.lines:
-        assert not CONFIG.incident(a, a)
-    for a, b in combinations(CONFIG.lines, 2):
-        assert CONFIG.incident(a, b) == CONFIG.incident(b, a)
+    for i in range(27):
+        assert not incident(i, i)
+    for i, j in combinations(range(27), 2):
+        assert incident(i, j) == incident(j, i)
 
 
 def test_tritangent_triples_count_and_types():
-    triples = tritangent_triples(CONFIG)
-    assert len(triples) == 45
-    assert tritangent_type_counts(triples) == {"EGF": 30, "FFF": 15}
-    for t in triples:
-        for a, b in combinations(sorted(t), 2):
-            assert CONFIG.incident(a, b)
+    assert len(CONFIG.planes) == 45
+    assert tritangent_type_counts(CONFIG) == {"EGF": 30, "FFF": 15}
+    for plane in CONFIG.planes:
+        for i, j in combinations(plane, 2):
+            assert incident(i, j)
 
 
 def test_triples_match_the_two_label_schemes():
-    triples = tritangent_triples(CONFIG)
-    for t in triples:
-        kinds = sorted(line.kind for line in t)
+    for plane in labelled_planes():
+        kinds = sorted(kind for kind, _ in plane)
         if kinds == ["E", "F", "G"]:
-            by_kind = {line.kind: line for line in t}
-            i = by_kind["E"].indices[0]
-            j = by_kind["G"].indices[0]
+            by_kind = dict(plane)
+            (i,), (j,) = by_kind["E"], by_kind["G"]
             assert i != j
-            assert set(by_kind["F"].indices) == {i, j}
+            assert set(by_kind["F"]) == {i, j}
         else:
-            indices = sorted(i for line in t for i in line.indices)
-            assert indices == [1, 2, 3, 4, 5, 6]
+            assert kinds == ["F", "F", "F"]
+            assert sorted(k for _, pair in plane for k in pair) == [1, 2, 3, 4, 5, 6]
 
 
 def test_every_pairwise_incident_scheme_triple_is_found():
-    # brute force over all pairwise-incident triples matching the label schemes
-    triples = tritangent_triples(CONFIG)
-    brute = set()
-    for t in combinations(CONFIG.lines, 3):
-        a, b, c = t
-        if not (
-            CONFIG.incident(a, b) and CONFIG.incident(a, c) and CONFIG.incident(b, c)
-        ):
-            continue
-        kinds = sorted(line.kind for line in t)
-        if kinds == ["E", "F", "G"]:
-            by_kind = {line.kind: line for line in t}
-            if set(by_kind["F"].indices) == {
-                by_kind["E"].indices[0],
-                by_kind["G"].indices[0],
-            }:
-                brute.add(frozenset(t))
-        elif kinds == ["F", "F", "F"]:
-            brute.add(frozenset(t))
-    assert brute == triples
+    # brute force over all triples that pairwise meet under the classical rule
+    brute = {
+        frozenset(t)
+        for t in combinations(LABELS, 3)
+        if all(classical_incident(a, b) for a, b in combinations(t, 2))
+    }
+    assert brute == labelled_planes()
 
 
 def test_stratification_counts():
@@ -127,31 +186,43 @@ def test_stratification_counts():
     assert counts.triple_point_count * counts.lines_per_triple == 135
 
 
+def _assert_symmetry(image):
+    """``image`` maps the lines onto themselves, keeping incidence and planes."""
+    moved = [INDEX.get(image(line).coefficients) for line in LINES]
+    assert sorted(moved) == list(range(27))
+    for i, j in combinations(range(27), 2):
+        assert intersect(image(LINES[i]), image(LINES[j])) == intersect(LINES[i], LINES[j])
+        assert incident(moved[i], moved[j]) == incident(i, j)
+    assert {tuple(sorted(moved[i] for i in plane)) for plane in CONFIG.planes} == set(
+        CONFIG.planes
+    )
+
+
 def test_counts_stable_under_relabeling():
     rng = random.Random(3)
-    triples = tritangent_triples(CONFIG)
-    for _ in range(10):
-        perm = list(range(1, 7))
-        rng.shuffle(perm)
-        relabel = lambda line: Line(
-            line.kind,
-            tuple(sorted(perm[i - 1] for i in line.indices)),
+    all_perms = list(permutations(range(1, 7)))
+    for perm in rng.sample(all_perms, 10):
+        # e_i -> e_perm(i), h fixed
+        _assert_symmetry(
+            lambda line: DivisorClass(
+                PICARD,
+                (line.coefficients[0],)
+                + tuple(line.coefficients[perm.index(k) + 1] for k in range(1, 7)),
+            )
         )
-        # incidence is preserved by any relabeling of the six indices
-        for a, b in combinations(CONFIG.lines, 2):
-            assert are_incident(a, b) == are_incident(relabel(a), relabel(b))
-        relabeled = {frozenset(relabel(line) for line in t) for t in triples}
-        assert relabeled == triples
 
 
-def test_other_configurations_unsupported():
-    with pytest.raises(UnsupportedConfigurationError):
-        build_configuration("degree-2-del-pezzo")
+def test_cremona_reflection_preserves_lines_and_incidence():
+    # reflection in the (-2)-class r = h - e1 - e2 - e3: x -> x + (x.r) r,
+    # so h -> 2h - e1 - e2 - e3 and e1 -> h - e2 - e3
+    root = divisor(PICARD, h=1, e1=-1, e2=-1, e3=-1)
+    assert intersect(root, root) == -2
 
+    def reflect(line):
+        return line + intersect(line, root) * root
 
-def test_line_label_validation():
-    with pytest.raises(Exception):
-        Line("E", (7,))
-    with pytest.raises(Exception):
-        Line("F", (3, 2))
-    assert Line("F", (2, 5)).label == "F25"
+    assert reflect(divisor(PICARD, h=1)) == divisor(PICARD, h=2, e1=-1, e2=-1, e3=-1)
+    assert reflect(divisor(PICARD, e1=1)) == divisor(PICARD, h=1, e2=-1, e3=-1)
+    _assert_symmetry(reflect)
+    assert intersect(reflect(CANONICAL), reflect(CANONICAL)) == 3
+    assert reflect(CANONICAL) == CANONICAL
