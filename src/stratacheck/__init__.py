@@ -50,7 +50,6 @@ from .lattice import (
     integer_kernel,
     matrix_rank,
     sort_monomials,
-    total_degree,
 )
 from .ledger import (
     Discrepancy,

@@ -63,7 +63,11 @@ def main(argv=None) -> int:
     )
     sys.stdout.write(render_text(report))
     if args.json:
-        Path(args.json).write_text(render_json(report))
+        try:
+            Path(args.json).write_text(render_json(report))
+        except OSError as exc:
+            print(f"cannot write the JSON report: {exc}", file=sys.stderr)
+            return 3
     return report.exit_code(strict=args.strict)
 
 

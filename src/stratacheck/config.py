@@ -240,6 +240,8 @@ def load_config(path) -> ConfigDocument:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer literal over the
+        # interpreter's digit limit; deeply nested arrays raise RecursionError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(raw, str(path))

@@ -2,21 +2,20 @@
 
 An action is pure weight data: a monomial is invariant exactly when its
 exponent vector is orthogonal to every torus weight row and satisfies every
-finite congruence row.  Generating sets come from bounded enumeration with
-divisibility filtering, certified by a saturation check at twice the bound.
-Relations come from congruence closure (union-find) over expanded ambient
-monomials, which is complete for binomial ideals, so every answer is exact up
-to the stated degree bound.
+finite congruence row.  Generating sets come from one grlex sieve over the
+invariant monomials up to twice the bound, whose first irreducible above the
+bound certifies that the bound was too small.  Relations come from congruence
+closure (union-find) over expanded ambient monomials, which is complete for
+binomial ideals, so every answer is exact up to the stated degree bound.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvolutionError, NonSaturationError, ToolkitError
-from .lattice import grlex_key, sort_monomials, total_degree
+from .lattice import grlex_key, sort_monomials
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,6 @@ def _bounded_vectors(weights, images, dim, bound, visit, zero_rows=0, moduli=())
     rec(0, bound)
 
 
-@functools.cache
 def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
     """All invariant monomials of total degree <= max_degree, grlex sorted.
 
@@ -237,68 +235,34 @@ def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
     return tuple(sort_monomials(found))
 
 
-def _factorable(monomials, generators) -> dict:
-    """Map each monomial to whether it is a product of the given generators."""
-    gens = list(generators)
-    memo: dict[tuple, bool] = {}
-
-    def check(m) -> bool:
-        known = memo.get(m)
-        if known is not None:
-            return known
-        if sum(m) == 0:
-            memo[m] = True
-            return True
-        ok = False
-        for g in gens:
-            if all(x <= y for x, y in zip(g, m)):
-                if check(tuple(y - x for x, y in zip(g, m))):
-                    ok = True
-                    break
-        memo[m] = ok
-        return ok
-
-    return {m: check(m) for m in monomials}
-
-
-def invariant_generators(
-    action: DiagonalAction, degree_bound: int, *, require_saturation: bool = True
-) -> MonoidPresentation:
+def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
     """Minimal monomial generators of the invariant ring, up to degree_bound.
 
-    A monomial of degree <= degree_bound is kept when no invariant monomial
-    of strictly smaller positive degree divides it (the quotient by an
-    invariant divisor is automatically invariant, so this is exactly the
-    Hilbert basis condition within the bound).
+    One grlex sieve over the invariant monomials of degree at most
+    2*degree_bound: a monomial is kept when no kept generator divides it.
+    The quotient of an invariant monomial by an invariant divisor is
+    invariant, and grlex visits every divisor first, so the kept monomials
+    are exactly the irreducible ones (the Hilbert basis within the bound).
 
-    Saturation certificate: every invariant monomial of degree at most
-    2*degree_bound must factor into the kept generators, otherwise the bound
-    was too small and NonSaturationError reports the first witness.
+    Saturation certificate: the first kept monomial above degree_bound
+    raises NonSaturationError with that monomial as its witness.  It is the
+    first invariant monomial that does not factor into the generators: every
+    earlier one is divisible by a generator and so factors, and a
+    factorization of it would have an earlier non-factoring factor.
     """
     if degree_bound < 1:
         raise ToolkitError("degree bound must be >= 1")
-    reach = 2 * degree_bound if require_saturation else degree_bound
-    extended = invariant_monomials(action, reach)
-    in_bound = [m for m in extended if 1 <= sum(m) <= degree_bound]
-
     generators = []
-    for m in in_bound:
-        deg = sum(m)
-        proper_divisor = any(
-            1 <= sum(d) < deg and all(x <= y for x, y in zip(d, m)) for d in in_bound
-        )
-        if not proper_divisor:
-            generators.append(m)
-
-    if require_saturation:
-        reachable = _factorable((m for m in extended if sum(m) >= 1), generators)
-        for m in extended:
-            if sum(m) >= 1 and not reachable[m]:
-                raise NonSaturationError(
-                    f"invariant monomial {m} of degree {sum(m)} does not factor "
-                    f"into the degree-{degree_bound} generators; raise the bound",
-                    witness=m,
-                )
+    for m in invariant_monomials(action, 2 * degree_bound):
+        if sum(m) == 0 or any(all(x <= y for x, y in zip(g, m)) for g in generators):
+            continue
+        if sum(m) > degree_bound:
+            raise NonSaturationError(
+                f"invariant monomial {m} of degree {sum(m)} does not factor "
+                f"into the degree-{degree_bound} generators; raise the bound",
+                witness=m,
+            )
+        generators.append(m)
     return MonoidPresentation(action.ambient_dim, tuple(generators))
 
 
@@ -338,22 +302,19 @@ def _genmon_sign(genexp, gen_signs) -> int:
     return s
 
 
-def _closure(
-    pres: MonoidPresentation,
-    bound: int,
-    given_relations,
-    collect_new: bool,
-    gen_signs=None,
-):
-    """Shared congruence-closure engine.
+def binomial_relations(
+    pres: MonoidPresentation, degree_bound: int, gen_signs=None
+) -> tuple:
+    """Minimal generating set of binomial relations up to an ambient degree.
 
-    Processes expansion fibers in increasing ambient degree.  Within a fiber,
-    two generator monomials are merged when they become equal after deleting
-    one shared generator (a congruence step in context, sound because lower
-    fibers are already final), and when a given relation identifies them.  If
-    ``collect_new`` is set, any components still separate afterwards get
-    joined by fresh relations, which are returned; this yields a minimal
-    generating set of the congruence up to the bound.
+    Congruence closure over the expansion fibers, in increasing ambient
+    degree.  Within a fiber, two generator monomials are merged when they
+    become equal after deleting one shared generator (a congruence step in
+    context, sound because lower fibers are already final).  Components
+    still separate afterwards are joined by fresh relations, which are
+    returned; this yields a minimal generating set of the congruence up to
+    the bound.  With ``gen_signs``, monomials of opposite sign lie in
+    different fibers.
     """
     fibers: dict = {}
 
@@ -363,74 +324,38 @@ def _closure(
         fibers.setdefault(key, []).append(genexp)
 
     _bounded_vectors(
-        pres.generator_degrees(), pres.generators, pres.ambient_dim, bound, visit
+        pres.generator_degrees(), pres.generators, pres.ambient_dim, degree_bound, visit
     )
-
-    by_relation: dict = {}
-    for u, v in given_relations:
-        key = (pres.expand(u), _genmon_sign(u, gen_signs))
-        if _genmon_sign(v, gen_signs) != key[1]:
-            raise ToolkitError("relation sides have opposite signs")
-        by_relation.setdefault(key, []).append((u, v))
 
     uf = _UnionFind()
     for members in fibers.values():
         for m in members:
             uf.add(m)
 
-    new_relations = []
+    relations = []
     side_key = lambda u: (sum(u), u)
     for key in sorted(fibers, key=lambda k: (sum(k[0]), grlex_key(k[0]), -k[1])):
         members = sorted(fibers[key], key=side_key)
-        if len(members) > 1:
-            for a, b in combinations(members, 2):
-                if uf.find(a) == uf.find(b):
-                    continue
-                for i in range(len(a)):
-                    if a[i] and b[i]:
-                        da = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                        db = b[:i] + (b[i] - 1,) + b[i + 1 :]
-                        if uf.find(da) == uf.find(db):
-                            uf.union(a, b)
-                            break
-        for u, v in by_relation.get(key, ()):
-            uf.union(u, v)
-        if collect_new and len(members) > 1:
-            components: dict = {}
-            for m in members:
-                components.setdefault(uf.find(m), []).append(m)
-            if len(components) > 1:
-                reps = sorted((min(ms, key=side_key) for ms in components.values()),
-                              key=side_key)
-                base = reps[0]
-                for other in reps[1:]:
-                    new_relations.append((base, other))
-                    uf.union(base, other)
-
-    classes = {m: uf.find(m) for members in fibers.values() for m in members}
-    return tuple(new_relations), classes, fibers
-
-
-def binomial_relations(
-    pres: MonoidPresentation, degree_bound: int, gen_signs=None
-) -> tuple:
-    """Minimal generating set of binomial relations up to an ambient degree."""
-    rels, _, _ = _closure(pres, degree_bound, (), collect_new=True,
-                          gen_signs=gen_signs)
-    return rels
-
-
-def generates_congruence(
-    pres: MonoidPresentation, relations, degree_bound: int
-) -> bool:
-    """Whether the given relations generate the full congruence up to bound."""
-    _, classes, fibers = _closure(pres, degree_bound, relations,
-                                  collect_new=False)
-    for members in fibers.values():
-        roots = {classes[m] for m in members}
-        if len(roots) > 1:
-            return False
-    return True
+        if len(members) < 2:
+            continue
+        for a, b in combinations(members, 2):
+            if uf.find(a) == uf.find(b):
+                continue
+            for i in range(len(a)):
+                if a[i] and b[i]:
+                    da = a[:i] + (a[i] - 1,) + a[i + 1 :]
+                    db = b[:i] + (b[i] - 1,) + b[i + 1 :]
+                    if uf.find(da) == uf.find(db):
+                        uf.union(a, b)
+                        break
+        components: dict = {}
+        for m in members:
+            components.setdefault(uf.find(m), []).append(m)
+        reps = sorted((min(ms, key=side_key) for ms in components.values()), key=side_key)
+        for other in reps[1:]:
+            relations.append((reps[0], other))
+            uf.union(reps[0], other)
+    return tuple(relations)
 
 
 def toric_relations(
@@ -579,7 +504,7 @@ def fixed_locus_presentation(
         if pres.relations:
             degree_bound = max(sum(pres.expand(u)) for u, _ in pres.relations)
         else:
-            degree_bound = 2 * max(total_degree(g) for g in pres.generators)
+            degree_bound = 2 * max(sum(g) for g in pres.generators)
     base = MonoidPresentation(len(reps), tuple(new_gens))
     gen_signs = signs if any(s < 0 for s in signs) else None
     rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)

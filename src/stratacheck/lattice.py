@@ -15,10 +15,6 @@ from .errors import ToolkitError
 # monomials
 
 
-def total_degree(m) -> int:
-    return sum(m)
-
-
 def grlex_key(m):
     """Sort key realizing the canonical graded-lexicographic order."""
     return (sum(m), tuple(-e for e in m))

@@ -72,7 +72,8 @@ def _plain(value):
     return str(value)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """A value as the text and JSON reports print it."""
     return json.dumps(_plain(value), sort_keys=True, separators=(",", ":"))
 
 
@@ -85,12 +86,11 @@ def render_text(report: VerificationReport) -> str:
     ]
     for record in report.checks:
         tag = _STATUS_TAGS[record.status]
+        expected, computed = format_value(record.expected), format_value(record.computed)
         if record.status == DISCREPANCY:
-            body = (
-                f"reference {_fmt(record.expected)} vs derived {_fmt(record.computed)}"
-            )
+            body = f"reference {expected} vs derived {computed}"
         else:
-            body = f"expected {_fmt(record.expected)} computed {_fmt(record.computed)}"
+            body = f"expected {expected} computed {computed}"
         line = f"[{tag}] {record.name} :: {body} ({record.provenance})"
         if record.note:
             line += f" :: {record.note}"

@@ -18,7 +18,7 @@ from typing import Callable
 from . import curves, invariants, ledger, lines27, singularities, surfaces
 from .config import ConfigDocument
 from .errors import ToolkitError
-from .report import DISCREPANCY, ERROR, FAIL, PASS, CheckRecord
+from .report import DISCREPANCY, ERROR, FAIL, PASS, CheckRecord, format_value
 
 SECTION_NAMES = (
     "invariants",
@@ -423,9 +423,12 @@ def _battery(config: ConfigDocument) -> list[Check]:
 
 
 def _evaluate(row: Check, run: _Run) -> CheckRecord:
-    """One guarded call: any exception becomes an ERROR record."""
+    """One guarded call: any exception becomes an ERROR record, including
+    one raised while rendering the computed value (an integer too long to
+    print, say), so the rest of the report still prints."""
     try:
         computed = row.compute(run)
+        format_value(computed)
         if computed != row.expected and row.discrepancy_note is not None:
             return CheckRecord(
                 row.name, row.inputs, row.expected, "paper", computed,

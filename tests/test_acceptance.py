@@ -23,6 +23,7 @@ from stratacheck.curves import (
     solve_unknown_count,
     theta_characteristics,
 )
+from stratacheck.errors import NonSaturationError
 from stratacheck.invariants import (
     CoordinateInvolution,
     DiagonalAction,
@@ -142,21 +143,23 @@ def test_criterion_2_brute_force_oracle_equivalence():
                     yield (head,) + tail
 
         def oracle(action, bound):
+            """Irreducible invariant monomials up to the bound, grlex sorted."""
             invs = sorted(
                 (
                     m
                     for m in all_monomials(action.ambient_dim, bound)
                     if sum(m) >= 1 and is_invariant(action, m)
                 ),
-                key=lambda m: (sum(m), m),
+                key=lambda m: (sum(m), tuple(-e for e in m)),
             )
             kept = []
             for m in invs:
                 if not any(all(g <= x for g, x in zip(k, m)) for k in kept):
                     kept.append(m)
-            return set(kept)
+            return kept
 
         rng = random.Random(20260808)
+        outcomes = set()
         for _ in range(200):
             n = rng.randint(1, 6)
             torus = tuple(
@@ -168,8 +171,18 @@ def test_criterion_2_brute_force_oracle_equivalence():
                 for _ in range(rng.randint(0, 2))
             )
             action = DiagonalAction(n, torus, finite)
-            pres = invariant_generators(action, 4, require_saturation=False)
-            assert set(pres.generators) == oracle(action, 4)
+            expected = oracle(action, 8)
+            try:
+                pres = invariant_generators(action, 4)
+            except NonSaturationError as exc:
+                # the first irreducible above the bound is the witness
+                assert exc.witness == next(m for m in expected if sum(m) > 4)
+                outcomes.add("witness")
+                continue
+            assert set(pres.generators) == set(expected)
+            assert all(sum(g) <= 4 for g in pres.generators)
+            outcomes.add("generators")
+        assert outcomes == {"generators", "witness"}
 
 
 def test_criterion_3_singularity_suite():

@@ -127,6 +127,28 @@ def test_cli_rejects_non_list_action_fields(field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config_text, json_path",
+    [
+        ("[" * 100_000, None),
+        ('{"actions": {"x": {"ambient_dim": ' + "7" * 5000 + "}}}", None),
+        (None, "no/such/dir/out.json"),
+    ],
+    ids=["deep-nesting", "long-integer", "unwritable-json"],
+)
+def test_cli_input_errors_exit_3(config_text, json_path, tmp_path, capsys):
+    argv = ["lines27", "--strict"]
+    if config_text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config_text)
+        argv += ["--config", str(path)]
+    if json_path is not None:
+        argv += ["--json", str(tmp_path / json_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
@@ -146,6 +168,53 @@ def test_action_fields_parse_or_raise_config_error(body):
     except ConfigError:
         return
     assert "fuzzed" in document.actions
+
+
+def _object(**fields):
+    """Objects with any subset of the fields, each value near-valid or any JSON."""
+    return st.fixed_dictionaries(
+        {}, optional={key: value | JSON_VALUES for key, value in fields.items()}
+    )
+
+
+INT_LIST = st.lists(st.integers(-3, 12), max_size=4)
+SECTION_BODIES = {
+    "involutions": _object(
+        permutation=INT_LIST, signs=st.lists(st.sampled_from([1, -1]), max_size=4)
+    ),
+    "groups": _object(generators=st.lists(
+        _object(order=st.integers(-1, 6), exponents=INT_LIST), max_size=3
+    )),
+    "bases": _object(
+        labels=st.lists(st.sampled_from(["f1", "f2", "diag"]), max_size=3),
+        pairing=st.lists(INT_LIST, max_size=3),
+    ),
+    "ledgers": _object(
+        mode=st.sampled_from(["paper", "derived"]),
+        entries=st.lists(_object(
+            label=st.sampled_from(["k", "n", "x"]),
+            dimension=st.integers(-1, 3),
+            chi_base=st.none() | st.integers(),
+            chi_fiber=st.integers(),
+            provenance=st.sampled_from(["paper", "derived", "trivial"]),
+            recipe=st.text(max_size=3),
+            description=st.text(max_size=3),
+        ), max_size=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_BODIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_section_fields_parse_or_raise_config_error(section, data):
+    name = data.draw(st.sampled_from(["cubic", "degree2", "fuzzed"]))
+    body = data.draw(SECTION_BODIES[section])
+    try:
+        document = parse_config({section: {name: body}}, "fuzz")
+    except ConfigError:
+        return
+    assert name in getattr(document, section)
 
 
 def test_config_override_changes_expected_outcome(tmp_path, capsys):
@@ -274,6 +343,23 @@ def test_unexpected_derived_mismatch_fails_under_its_own_name(tmp_path):
     )
     assert by_name["euler.derived.case-k"].status == "fail"
     assert by_name["euler.derived.case-o"].status == DISCREPANCY
+
+
+def test_oversized_computed_value_is_an_error_record(tmp_path, capsys):
+    # each value parses (4,001 digits), but the ledger total has about 8,000
+    rows = ledger_rows(builtin_config().require("ledgers", "cubic"))
+    for row in rows:
+        if row["label"] == "k":
+            row["chi_base"] = row["chi_fiber"] = 10**4000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ledgers": {"cubic": {"entries": rows}}}))
+    out = tmp_path / "report.json"
+    assert main(["euler", "--strict", "--config", str(path), "--json", str(out)]) == 2
+    text = capsys.readouterr().out
+    assert "[ERROR] euler.cubic-ledger-total :: expected 2283 computed null" in text
+    assert "[PASS] euler.degree2-ledger-total" in text
+    assert text.endswith("summary: total=13 pass=10 fail=1 discrepancy=0 error=2\n")
+    assert json.loads(out.read_text())["summary"]["error"] == 2
 
 
 @pytest.mark.parametrize(

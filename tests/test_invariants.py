@@ -10,7 +10,6 @@ from stratacheck.invariants import (
     MonoidPresentation,
     binomial_relations,
     fixed_locus_presentation,
-    generates_congruence,
     invariant_generators,
     invariant_monomials,
     is_invariant,
@@ -32,6 +31,12 @@ NEG4 = DiagonalAction(4, (), ((2, (1, 1, 1, 1)),))
 Z2Z2 = DiagonalAction(6, (), ((2, (0, 0, 1, 1, 1, 1)), (2, (1, 1, 0, 0, 1, 1))))
 SWAP_PAIR = CoordinateInvolution((5, 4, 7, 6, 1, 0, 3, 2))
 SWAP_TRIPLE = CoordinateInvolution((7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4))
+
+
+@pytest.fixture(scope="module")
+def triple():
+    """The torus-triple presentation, computed once for the tests that read it."""
+    return toric_relations(TRIPLE, invariant_generators(TRIPLE, 6), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +62,63 @@ def oracle_is_invariant(action, m):
     return True
 
 
+def grlex_order(m):
+    """Degree first, then the larger exponent vector first."""
+    return (sum(m), tuple(-e for e in m))
+
+
 def oracle_generators(action, bound):
+    """The irreducible invariant monomials up to the bound, grlex sorted."""
     invariants_list = sorted(
         (
             m
             for m in all_monomials(action.ambient_dim, bound)
             if sum(m) >= 1 and oracle_is_invariant(action, m)
         ),
-        key=lambda m: (sum(m), m),
+        key=grlex_order,
     )
     kept = []
     for m in invariants_list:
         if not any(all(g <= x for g, x in zip(k, m)) for k in kept):
             kept.append(m)
-    return set(kept)
+    return kept
+
+
+def oracle_moves(pres, bound):
+    """Generator vectors up to the ambient bound with their expansions, and
+    for each relation (u, v) its moves w + u -> w + v among them."""
+    k = len(pres.generators)
+    expansions = {}
+    for total in range(bound // min(pres.generator_degrees()) + 1):
+        for combo in combinations_with_replacement(range(k), total):
+            e = tuple(combo.count(i) for i in range(k))
+            if sum(pres.expand(e)) <= bound:
+                expansions[e] = pres.expand(e)
+    moves = [
+        [(e, tuple(x - y + z for x, y, z in zip(e, u, v)))
+         for e in expansions if all(x >= y for x, y in zip(e, u))]
+        for u, v in pres.relations
+    ]
+    return expansions, moves
+
+
+def oracle_fibers_connected(expansions, moves):
+    """Whether each expansion fiber is connected under the given moves; a
+    move read from its v side is the same move read from its u side."""
+    parent = {e: e for e in expansions}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for pairs in moves:
+        for e, f in pairs:
+            parent[find(e)] = find(f)
+    roots = {}
+    for e, amb in expansions.items():
+        roots.setdefault(amb, set()).add(find(e))
+    return all(len(r) == 1 for r in roots.values())
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +187,7 @@ def test_degree_bound_must_be_positive():
 
 def test_oracle_agreement_on_200_random_actions():
     rng = random.Random(20260808)
+    outcomes = set()
     for _ in range(200):
         n = rng.randint(1, 6)
         torus = tuple(
@@ -150,9 +199,17 @@ def test_oracle_agreement_on_200_random_actions():
             for _ in range(rng.randint(0, 2))
         )
         action = DiagonalAction(n, torus, finite)
-        pres = invariant_generators(action, 4, require_saturation=False)
-        assert set(pres.generators) == oracle_generators(action, 4)
-        assert all(is_invariant(action, g) for g in pres.generators)
+        expected = oracle_generators(action, 8)
+        try:
+            pres = invariant_generators(action, 4)
+        except NonSaturationError as exc:
+            assert exc.witness == next(m for m in expected if sum(m) > 4)
+            outcomes.add("witness")
+            continue
+        assert set(pres.generators) == set(expected)
+        assert all(sum(g) <= 4 and is_invariant(action, g) for g in pres.generators)
+        outcomes.add("generators")
+    assert outcomes == {"generators", "witness"}
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +237,19 @@ def test_negation_relations_are_pair_swaps():
         assert pres.expand(u) == pres.expand(v)
 
 
-def test_triple_relation_profile_and_reference_families():
-    pres = toric_relations(TRIPLE, invariant_generators(TRIPLE, 6), 6)
-    assert relation_profile(pres) == {
+def test_triple_relation_profile_and_reference_families(triple):
+    assert relation_profile(triple) == {
         (4, (2, 2)): 3,
         (5, (2, 2)): 48,
         (6, (2, 2)): 18,
         (6, (2, 3)): 64,
     }
     # reference families regenerated from their index structure
-    first = [i for i, g in enumerate(pres.generators) if sum(g) == 3 and (g[2] or g[3])]
-    second = [i for i, g in enumerate(pres.generators) if sum(g) == 3 and (g[8] or g[9])]
+    first = [i for i, g in enumerate(triple.generators) if sum(g) == 3 and (g[2] or g[3])]
+    second = [i for i, g in enumerate(triple.generators) if sum(g) == 3 and (g[8] or g[9])]
     assert len(first) == len(second) == 8
-    sub_first = MonoidPresentation(12, tuple(pres.generators[i] for i in first))
-    sub_second = MonoidPresentation(12, tuple(pres.generators[i] for i in second))
+    sub_first = MonoidPresentation(12, tuple(triple.generators[i] for i in first))
+    sub_second = MonoidPresentation(12, tuple(triple.generators[i] for i in second))
     assert len(binomial_relations(sub_first, 6)) == 9
     assert len(binomial_relations(sub_second, 6)) == 9
 
@@ -202,10 +258,10 @@ def test_relations_expand_to_identities_and_are_minimal():
     pres = toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
     for u, v in pres.relations:
         assert pres.expand(u) == pres.expand(v)
-    assert generates_congruence(pres, pres.relations, 6)
-    for dropped in range(len(pres.relations)):
-        remaining = pres.relations[:dropped] + pres.relations[dropped + 1 :]
-        assert not generates_congruence(pres, remaining, 6)
+    expansions, moves = oracle_moves(pres, 6)
+    assert oracle_fibers_connected(expansions, moves)
+    for dropped in range(len(moves)):
+        assert not oracle_fibers_connected(expansions, moves[:dropped] + moves[dropped + 1 :])
 
 
 def test_toric_relations_rejects_non_invariant_generators():
@@ -228,8 +284,7 @@ def test_pair_fixed_locus_is_the_veronese_presentation():
         assert sum(u) == sum(v) == 2
 
 
-def test_triple_fixed_locus_generators_and_relations():
-    triple = toric_relations(TRIPLE, invariant_generators(TRIPLE, 6), 6)
+def test_triple_fixed_locus_generators_and_relations(triple):
     fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE)
     assert fixed.ambient_dim == 6
     degrees = [sum(g) for g in fixed.generators]
@@ -298,8 +353,7 @@ def test_fixed_pair_isomorphic_to_negation_invariants():
     assert result.classes_checked > 0
 
 
-def test_fixed_triple_isomorphic_to_z2z2_invariants():
-    triple = toric_relations(TRIPLE, invariant_generators(TRIPLE, 6), 6)
+def test_fixed_triple_isomorphic_to_z2z2_invariants(triple):
     fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE)
     z = toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
     result = presentations_isomorphic(fixed, z, match_generators(fixed, z))
