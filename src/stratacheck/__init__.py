@@ -16,7 +16,6 @@ from .curves import (
     flex_count,
     moduli_dimension_check,
     pgl_dim,
-    plane_curve_genus,
     pluecker_dual_degree,
     pluecker_solve_bf,
     riemann_hurwitz_branch,
@@ -45,11 +44,6 @@ from .invariants import (
     presentations_isomorphic,
     relation_profile,
     toric_relations,
-)
-from .lattice import (
-    integer_kernel,
-    matrix_rank,
-    sort_monomials,
 )
 from .ledger import (
     Discrepancy,

@@ -19,14 +19,6 @@ from .errors import InconsistentInputError, ToolkitError
 # Pluecker formulas
 
 
-def plane_curve_genus(d: int, delta: int, kappa: int) -> int:
-    """Geometric genus (d-1)(d-2)/2 - delta - kappa of a nodal-cuspidal plane curve."""
-    g = (d - 1) * (d - 2) // 2 - delta - kappa
-    if g < 0:
-        raise InconsistentInputError(f"negative genus for (d, delta, kappa)=({d}, {delta}, {kappa})")
-    return g
-
-
 def pluecker_dual_degree(d: int, delta: int, kappa: int) -> int:
     """Dual degree d(d-1) - 2*delta - 3*kappa."""
     if min(d, delta, kappa) < 0:

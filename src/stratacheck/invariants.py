@@ -6,7 +6,10 @@ finite congruence row.  Generating sets come from one grlex sieve over the
 invariant monomials up to twice the bound, whose first irreducible above the
 bound certifies that the bound was too small.  Relations come from congruence
 closure (union-find) over expanded ambient monomials, which is complete for
-binomial ideals, so every answer is exact up to the stated degree bound.
+binomial ideals, so every answer is exact up to the stated degree bound.  An
+isomorphism of presentations is certified by those relations: each side's
+minimal relations, carried through the generator bijection, must hold on the
+other side.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvolutionError, NonSaturationError, ToolkitError
-from .lattice import grlex_key, sort_monomials
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,12 @@ class IsomorphismResult:
 # invariance and enumeration
 
 
+def _grlex_key(m):
+    """Graded-lexicographic sort key: degree first, then the larger exponent
+    vector first."""
+    return (sum(m), tuple(-e for e in m))
+
+
 def is_invariant(action: DiagonalAction, monomial) -> bool:
     """Exact weight test for a single monomial."""
     if len(monomial) != action.ambient_dim:
@@ -232,7 +240,7 @@ def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
         len(action.torus_weights),
         tuple(m for m, _ in action.finite_factors),
     )
-    return tuple(sort_monomials(found))
+    return tuple(sorted(found, key=_grlex_key))
 
 
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
@@ -334,7 +342,7 @@ def binomial_relations(
 
     relations = []
     side_key = lambda u: (sum(u), u)
-    for key in sorted(fibers, key=lambda k: (sum(k[0]), grlex_key(k[0]), -k[1])):
+    for key in sorted(fibers, key=lambda k: (_grlex_key(k[0]), -k[1])):
         members = sorted(fibers[key], key=side_key)
         if len(members) < 2:
             continue
@@ -498,7 +506,7 @@ def fixed_locus_presentation(
             )
         reduced.setdefault(key, sign)
 
-    new_gens = sort_monomials(reduced)
+    new_gens = sorted(reduced, key=_grlex_key)
     signs = tuple(reduced[g] for g in new_gens)
     if degree_bound is None:
         if pres.relations:
@@ -538,15 +546,22 @@ def presentations_isomorphic(
     a: MonoidPresentation,
     b: MonoidPresentation,
     generator_map,
-    degree_bound: int = 4,
+    degree_bound: int | None = None,
 ) -> IsomorphismResult:
     """Decide whether a generator bijection carries one congruence to the other.
 
-    Two generator monomials are congruent exactly when their ambient
-    expansions agree, so the check compares the expansion fibers of both
-    sides over all generator exponent vectors of total degree <= the bound.
-    A failed comparison returns the offending pair as a counterexample.
+    Relation certificate: every relation of ``binomial_relations(a, bound)``,
+    carried through the bijection, must expand to an identity on ``b``, and
+    every relation of ``binomial_relations(b, bound)``, carried back, to one
+    on ``a``.  Those relations generate each congruence up to the ambient
+    degree bound and the bijection is multiplicative, so each congruence
+    lands inside the other and the two agree up to the bound.  The first
+    relation that fails is returned as the counterexample, indexed by the
+    generators of its own side.  The bound defaults to twice the largest
+    generator degree of either side.
     """
+    if degree_bound is None:
+        degree_bound = 2 * max((sum(g) for g in a.generators + b.generators), default=0)
     if len(a.generators) != len(b.generators):
         return IsomorphismResult(
             False,
@@ -557,41 +572,24 @@ def presentations_isomorphic(
     gmap = tuple(generator_map)
     if sorted(gmap) != list(range(len(b.generators))):
         raise ToolkitError("generator map is not a bijection onto the target")
-
-    # one image per source generator: its own expansion, then its partner's
-    na = a.ambient_dim
-    images = tuple(g + b.generators[j] for g, j in zip(a.generators, gmap))
-    # source expansion -> [first member, its target expansion, first member
-    # of the fiber whose target expansion differs]
-    fibers: dict = {}
-    count = 0
-
-    def visit(u, amb):
-        nonlocal count
-        count += 1
-        source, target = tuple(amb[:na]), tuple(amb[na:])
-        fiber = fibers.get(source)
-        if fiber is None:
-            fibers[source] = [tuple(u), target, None]
-        elif fiber[2] is None and target != fiber[1]:
-            fiber[2] = tuple(u)
-
-    _bounded_vectors((1,) * len(gmap), images, na + b.ambient_dim, degree_bound, visit)
-
-    def differ(detail, pair):
-        return IsomorphismResult(False, degree_bound, len(fibers), detail, pair)
-
-    image_keys = {}
-    for first, key, other in fibers.values():
-        if other is not None:
-            return differ("congruent on the source, not on the target", (first, other))
-        if key in image_keys:
-            return differ("congruent on the target, not on the source",
-                          (first, image_keys[key]))
-        image_keys[key] = first
+    # a relation is carried across by reading each generator's exponent off
+    # its partner on the other side
+    inverse = sorted(range(len(gmap)), key=gmap.__getitem__)
+    checked = 0
+    for here, there, partner, names in (
+        (a, b, inverse, ("source", "target")),
+        (b, a, gmap, ("target", "source")),
+    ):
+        for u, v in binomial_relations(here, degree_bound):
+            checked += 1
+            if there.expand([u[k] for k in partner]) != there.expand([v[k] for k in partner]):
+                return IsomorphismResult(
+                    False,
+                    degree_bound,
+                    checked,
+                    f"congruent on the {names[0]}, not on the {names[1]}",
+                    (u, v),
+                )
     return IsomorphismResult(
-        True,
-        degree_bound,
-        len(fibers),
-        f"fiber partitions agree on {count} generator monomials",
+        True, degree_bound, checked, f"{checked} relations hold on both sides"
     )

@@ -1,4 +1,7 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -158,10 +161,13 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(
+ACTION_BODY = st.dictionaries(
     st.sampled_from(["ambient_dim", "torus_weights", "finite_factors"]), JSON_VALUES
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACTION_BODY)
 def test_action_fields_parse_or_raise_config_error(body):
     try:
         document = parse_config({"actions": {"fuzzed": body}}, "fuzz")
@@ -215,6 +221,42 @@ def test_section_fields_parse_or_raise_config_error(section, data):
     except ConfigError:
         return
     assert name in getattr(document, section)
+
+
+CONFIG_NAMES = st.sampled_from(["cubic", "degree2", "curve-square", "torus-pair", "x"])
+CONFIG_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.one_of(
+        JSON_VALUES,
+        *(
+            st.fixed_dictionaries({section: st.dictionaries(CONFIG_NAMES, body, max_size=2)})
+            for section, body in sorted({**SECTION_BODIES, "actions": ACTION_BODY}.items())
+        ),
+    ).map(lambda document: json.dumps(document).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(section=st.sampled_from(["cover", "pluecker", "lines27", "euler"]), config=CONFIG_BYTES)
+def test_cli_survives_any_config_bytes(section, config):
+    # the streams encode like a UTF-8 process: strict stdout, lenient stderr
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(config)
+        argv = [section, "--strict", "--json", str(Path(tmp) / "report.json"),
+                "--config", str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out.flush()
+    err.seek(0)
+    stderr = err.read()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr
+    if code == 3:
+        assert stderr.startswith("config error:") and stderr.count("\n") == 1
 
 
 def test_config_override_changes_expected_outcome(tmp_path, capsys):

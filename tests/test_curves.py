@@ -7,7 +7,6 @@ from stratacheck.curves import (
     flex_count,
     moduli_dimension_check,
     pgl_dim,
-    plane_curve_genus,
     pluecker_dual_degree,
     pluecker_solve_bf,
     riemann_hurwitz_branch,
@@ -65,14 +64,14 @@ def test_flex_count_examples_and_agreement():
     assert flex_count(2, 0, 0) == 0
     assert flex_count(6, 6, 0) == 36
     for d, delta, kappa in ((3, 0, 0), (4, 0, 0), (6, 6, 0)):
-        g = plane_curve_genus(d, delta, kappa)
+        g = (d - 1) * (d - 2) // 2 - delta - kappa
         d_star = pluecker_dual_degree(d, delta, kappa)
         assert pluecker_solve_bf(d, d_star, g)[1] == flex_count(d, delta, kappa)
 
 
 def test_dual_genus_consistency():
     for d, delta, kappa in ((3, 0, 0), (4, 0, 0), (6, 6, 0)):
-        g = plane_curve_genus(d, delta, kappa)
+        g = (d - 1) * (d - 2) // 2 - delta - kappa
         d_star = pluecker_dual_degree(d, delta, kappa)
         b, f = pluecker_solve_bf(d, d_star, g)
         assert (d_star - 1) * (d_star - 2) // 2 - b - f == g

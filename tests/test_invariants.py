@@ -350,7 +350,8 @@ def test_fixed_pair_isomorphic_to_negation_invariants():
     result = presentations_isomorphic(fixed, neg, match_generators(fixed, neg))
     assert result.isomorphic
     assert result.counterexample is None
-    assert result.classes_checked > 0
+    assert result.degree_bound == 4
+    assert result.classes_checked == 2 * len(neg.relations)
 
 
 def test_fixed_triple_isomorphic_to_z2z2_invariants(triple):
@@ -358,6 +359,12 @@ def test_fixed_triple_isomorphic_to_z2z2_invariants(triple):
     z = toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
     result = presentations_isomorphic(fixed, z, match_generators(fixed, z))
     assert result.isomorphic
+    assert result.degree_bound == 6
+    # the certificate recomputes both sides' relations, so a target that
+    # carries none (generators only) gets the same verdict
+    bare = invariant_generators(Z2Z2, 4)
+    assert bare.relations == ()
+    assert presentations_isomorphic(fixed, bare, match_generators(fixed, bare), 6) == result
 
 
 def test_presentation_isomorphic_to_itself():
@@ -384,11 +391,36 @@ def test_wrong_bijection_returns_counterexample():
     bad_map[squares[0]], bad_map[mixed[0]] = bad_map[mixed[0]], bad_map[squares[0]]
     result = presentations_isomorphic(neg, neg, tuple(bad_map))
     assert not result.isomorphic
-    assert result.counterexample is not None
+    # the counterexample is a relation of one side whose image fails on the other
+    u, v = result.counterexample
+    inverse = [bad_map.index(j) for j in range(10)]
+    targets = bad_map if result.detail.startswith("congruent on the source") else inverse
+    assert (u, v) in binomial_relations(neg, result.degree_bound)
+    assert neg.expand(u) == neg.expand(v)
+
+    def carry(genexp):
+        out = [0] * 10
+        for e, j in zip(genexp, targets):
+            out[j] = e
+        return tuple(out)
+
+    assert neg.expand(carry(u)) != neg.expand(carry(v))
 
 
 # ---------------------------------------------------------------------------
 # assorted invariants of the machinery itself
+
+
+def test_grlex_order_is_degree_then_lex():
+    assert invariant_monomials(DiagonalAction(2), 2) == (
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+    )
+
+
+def test_grlex_key_total_degree_first():
+    ms = invariant_monomials(DiagonalAction(2), 4)
+    assert ms.index((0, 3)) < ms.index((4, 0))
+    assert ms.index((2, 0)) < ms.index((1, 1))
 
 
 def test_invariant_monomials_sorted_and_complete():
