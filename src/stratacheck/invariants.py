@@ -2,9 +2,10 @@
 
 An action is pure weight data: a monomial is invariant exactly when its
 exponent vector is orthogonal to every torus weight row and satisfies every
-finite congruence row.  Generating sets come from one grlex sieve over the
-invariant monomials up to twice the bound, whose first irreducible above the
-bound certifies that the bound was too small.  Relations come from congruence
+finite congruence row, so it depends only on the total exponent on each
+class of variables with equal weights.  Generating sets come from one grlex
+sieve over those class vectors up to twice the bound, whose first irreducible
+above the bound certifies that the bound was too small.  Relations come from congruence
 closure (union-find) over expanded ambient monomials, which is complete for
 binomial ideals, so every answer is exact up to the stated degree bound.  An
 isomorphism of presentations is certified by those relations: each side's
@@ -15,7 +16,7 @@ other side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import InvolutionError, NonSaturationError, ToolkitError
 
@@ -246,31 +247,61 @@ def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
     """Minimal monomial generators of the invariant ring, up to degree_bound.
 
-    One grlex sieve over the invariant monomials of degree at most
-    2*degree_bound: a monomial is kept when no kept generator divides it.
-    The quotient of an invariant monomial by an invariant divisor is
-    invariant, and grlex visits every divisor first, so the kept monomials
-    are exactly the irreducible ones (the Hilbert basis within the bound).
+    The sieve runs on the weight-class quotient: variables with identical
+    weight columns (torus weights exactly, finite weights mod their modulus)
+    form one class, and the quotient has one variable per class, in order of
+    each class's first member.  Invariance depends only on the class vector,
+    the total exponent on each class, and a monomial is reducible exactly
+    when its class vector is, since any split of the class totals is
+    realised by splitting the exponents.
 
-    Saturation certificate: the first kept monomial above degree_bound
-    raises NonSaturationError with that monomial as its witness.  It is the
-    first invariant monomial that does not factor into the generators: every
-    earlier one is divisible by a generator and so factors, and a
-    factorization of it would have an earlier non-factoring factor.
+    One grlex sieve over the invariant class vectors of degree at most
+    2*degree_bound keeps a vector when no kept one divides it.  The quotient
+    of an invariant vector by an invariant divisor is invariant, and grlex
+    visits every divisor first, so the kept vectors are the irreducible
+    ones.  Their expansions, grlex sorted, are the generators: the
+    irreducible invariant monomials up to twice the bound.
+
+    Saturation certificate: the first kept vector above degree_bound raises
+    NonSaturationError.  The witness puts each class total on the class's
+    first member: the grlex-first irreducible monomial above the bound, and
+    so the first invariant monomial that does not factor into the generators.
     """
     if degree_bound < 1:
         raise ToolkitError("degree bound must be >= 1")
-    generators = []
-    for m in invariant_monomials(action, 2 * degree_bound):
-        if sum(m) == 0 or any(all(x <= y for x, y in zip(g, m)) for g in generators):
+    classes: dict = {}
+    for i in range(action.ambient_dim):
+        column = tuple(row[i] for row in action.torus_weights) + tuple(
+            w[i] % m for m, w in action.finite_factors
+        )
+        classes.setdefault(column, []).append(i)
+    firsts = [c[0] for c in classes.values()]
+    quotient = DiagonalAction(
+        len(firsts),
+        tuple(tuple(row[i] for i in firsts) for row in action.torus_weights),
+        tuple((m, tuple(w[i] for i in firsts)) for m, w in action.finite_factors),
+    )
+
+    def expansions(vector):
+        # combinations_with_replacement starts with every pick on the
+        # class's first member, so the first expansion is the witness
+        for picks in product(*map(combinations_with_replacement, classes.values(), vector)):
+            flat = sum(picks, ())
+            yield tuple(flat.count(i) for i in range(action.ambient_dim))
+
+    kept = []
+    for v in invariant_monomials(quotient, 2 * degree_bound):
+        if sum(v) == 0 or any(all(x <= y for x, y in zip(g, v)) for g in kept):
             continue
-        if sum(m) > degree_bound:
+        if sum(v) > degree_bound:
+            m = next(expansions(v))
             raise NonSaturationError(
                 f"invariant monomial {m} of degree {sum(m)} does not factor "
                 f"into the degree-{degree_bound} generators; raise the bound",
                 witness=m,
             )
-        generators.append(m)
+        kept.append(v)
+    generators = sorted((m for v in kept for m in expansions(v)), key=_grlex_key)
     return MonoidPresentation(action.ambient_dim, tuple(generators))
 
 
