@@ -4,13 +4,13 @@ An action is pure weight data: a monomial is invariant exactly when its
 exponent vector is orthogonal to every torus weight row and satisfies every
 finite congruence row, so it depends only on the total exponent on each
 class of variables with equal weights.  Generating sets come from one grlex
-sieve over those class vectors up to twice the bound, whose first irreducible
-above the bound certifies that the bound was too small.  Relations come from congruence
-closure (union-find) over expanded ambient monomials, which is complete for
-binomial ideals, so every answer is exact up to the stated degree bound.  An
-isomorphism of presentations is certified by those relations: each side's
-minimal relations, carried through the generator bijection, must hold on the
-other side.
+sieve over those class vectors up to twice the bound, whose first
+irreducible above the bound certifies that the bound was too small.
+Relations come from congruence closure (union-find) over expanded ambient
+monomials, which is complete for binomial ideals, so every answer is exact
+up to the stated degree bound.  An isomorphism of presentations is certified
+by those relations: each side's minimal relations, carried through the
+generator bijection, must hold on the other side.
 """
 
 from __future__ import annotations
