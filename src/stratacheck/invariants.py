@@ -6,17 +6,18 @@ finite congruence row, so it depends only on the total exponent on each
 class of variables with equal weights.  Generating sets come from one grlex
 sieve over those class vectors up to twice the bound, whose first
 irreducible above the bound certifies that the bound was too small.
-Relations come from congruence closure (union-find) over expanded ambient
-monomials, which is complete for binomial ideals, so every answer is exact
-up to the stated degree bound.  An isomorphism of presentations is certified
-by those relations: each side's minimal relations, carried through the
-generator bijection, must hold on the other side.
+Relations come from the expansion fibers of generator monomials: in each
+fiber, the members that share a generator form one component, and one
+relation joins each further component to the first, so every answer is
+exact up to the stated degree bound.  An isomorphism of presentations is
+certified by those relations: each side's minimal relations, carried
+through the generator bijection, must hold on the other side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from .errors import InvolutionError, NonSaturationError, ToolkitError
 
@@ -306,29 +307,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
 
 
 # ---------------------------------------------------------------------------
-# binomial relations via congruence closure
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+# binomial relations from the components of each fiber
 
 
 def _genmon_sign(genexp, gen_signs) -> int:
@@ -341,19 +320,36 @@ def _genmon_sign(genexp, gen_signs) -> int:
     return s
 
 
+def _twice_top_degree(generators) -> int:
+    """The default relation bound: twice the largest generator degree, or 0
+    when there are no generators."""
+    return 2 * max((sum(g) for g in generators), default=0)
+
+
 def binomial_relations(
     pres: MonoidPresentation, degree_bound: int, gen_signs=None
 ) -> tuple:
     """Minimal generating set of binomial relations up to an ambient degree.
 
-    Congruence closure over the expansion fibers, in increasing ambient
-    degree.  Within a fiber, two generator monomials are merged when they
-    become equal after deleting one shared generator (a congruence step in
-    context, sound because lower fibers are already final).  Components
-    still separate afterwards are joined by fresh relations, which are
-    returned; this yields a minimal generating set of the congruence up to
-    the bound.  With ``gen_signs``, monomials of opposite sign lie in
-    different fibers.
+    The generator monomials up to the bound fall into expansion fibers,
+    keyed by ambient monomial and, with ``gen_signs``, by sign, so monomials
+    of opposite sign lie in different fibers.  In each fiber, members that
+    share a generator are joined; the least member of each component, by
+    (degree, vector), represents it, and the first representative is
+    related to each of the others.  Fibers are visited in grlex order of
+    their ambient monomial, so relations come out by ambient degree.
+
+    Why this is complete and minimal (the fiber graph of Diaconis and
+    Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
+    to w + v.  A relation of lower degree has w nonzero, so its moves only
+    join members that share a generator.  Conversely, if members a and b
+    share generator i, then a - e_i and b - e_i lie in one lower fiber (the
+    expansion less that generator, with the same sign flip when it has sign
+    -1).  By induction on the degree the relations already returned connect
+    that fiber, and the same path with generator i put back joins a and b.
+    So the components are exactly the classes the lower relations leave
+    apart: each returned relation is needed, and together they connect
+    every fiber.  No state carries from one fiber to the next.
     """
     fibers: dict = {}
 
@@ -366,34 +362,22 @@ def binomial_relations(
         pres.generator_degrees(), pres.generators, pres.ambient_dim, degree_bound, visit
     )
 
-    uf = _UnionFind()
-    for members in fibers.values():
-        for m in members:
-            uf.add(m)
-
     relations = []
     side_key = lambda u: (sum(u), u)
     for key in sorted(fibers, key=lambda k: (_grlex_key(k[0]), -k[1])):
-        members = sorted(fibers[key], key=side_key)
-        if len(members) < 2:
+        if len(fibers[key]) < 2:
             continue
-        for a, b in combinations(members, 2):
-            if uf.find(a) == uf.find(b):
-                continue
-            for i in range(len(a)):
-                if a[i] and b[i]:
-                    da = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                    db = b[:i] + (b[i] - 1,) + b[i + 1 :]
-                    if uf.find(da) == uf.find(db):
-                        uf.union(a, b)
-                        break
-        components: dict = {}
-        for m in members:
-            components.setdefault(uf.find(m), []).append(m)
-        reps = sorted((min(ms, key=side_key) for ms in components.values()), key=side_key)
-        for other in reps[1:]:
-            relations.append((reps[0], other))
-            uf.union(reps[0], other)
+        # (generator indices, least member) per component; the index sets
+        # are disjoint, and members arrive in increasing order
+        components = []
+        for m in sorted(fibers[key], key=side_key):
+            support = {i for i, e in enumerate(m) if e}
+            joined = [c for c in components if not support.isdisjoint(c[0])]
+            components = [c for c in components if support.isdisjoint(c[0])]
+            least = min((c[1] for c in joined), key=side_key, default=m)
+            components.append((support.union(*(c[0] for c in joined)), least))
+        reps = sorted((least for _, least in components), key=side_key)
+        relations.extend((reps[0], other) for other in reps[1:])
     return tuple(relations)
 
 
@@ -420,8 +404,7 @@ def relation_profile(pres: MonoidPresentation) -> dict:
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
     """Relations among the selected generators only, at twice their top degree."""
     sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep))
-    bound = 2 * max(sum(g) for g in sub.generators)
-    return len(binomial_relations(sub, bound))
+    return len(binomial_relations(sub, _twice_top_degree(sub.generators)))
 
 
 def cubic_quadratic_matchings(pres: MonoidPresentation) -> int:
@@ -498,9 +481,10 @@ def fixed_locus_presentation(
     The fixed locus of the substitution is cut out by identifying each
     variable with (sign times) its image; generators are rewritten in one
     representative variable per orbit, duplicates merge, and the relations
-    are recomputed by congruence closure in the reduced variables.  When no
-    bound is given, the largest ambient degree among the input relations is
-    reused (or twice the top generator degree if there are none).
+    are recomputed by ``binomial_relations`` in the reduced variables.  When
+    no bound is given, the largest ambient degree among the input relations
+    is reused (or twice the top generator degree if there are none, 0
+    without generators).
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
@@ -543,7 +527,7 @@ def fixed_locus_presentation(
         if pres.relations:
             degree_bound = max(sum(pres.expand(u)) for u, _ in pres.relations)
         else:
-            degree_bound = 2 * max(sum(g) for g in pres.generators)
+            degree_bound = _twice_top_degree(pres.generators)
     base = MonoidPresentation(len(reps), tuple(new_gens))
     gen_signs = signs if any(s < 0 for s in signs) else None
     rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)
@@ -592,7 +576,7 @@ def presentations_isomorphic(
     generator degree of either side.
     """
     if degree_bound is None:
-        degree_bound = 2 * max((sum(g) for g in a.generators + b.generators), default=0)
+        degree_bound = _twice_top_degree(a.generators + b.generators)
     if len(a.generators) != len(b.generators):
         return IsomorphismResult(
             False,

@@ -167,6 +167,12 @@ def _is_minor_swap(pres, relation):
 
 
 def _triple_reference_families(triple):
+    if triple.ambient_dim != 12:
+        raise ToolkitError(
+            "the reference families read the 12-variable torus-triple layout "
+            "(blocks x12, x13, x23, y12, y13, y23, two variables each), not "
+            f"{triple.ambient_dim} variables"
+        )
     gens = triple.generators
     # cubics split by which half of the third weight-block they use
     first_letter = [i for i, g in enumerate(gens) if sum(g) == 3 and (g[2] or g[3])]

@@ -5,9 +5,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stratacheck import __version__, invariants
+from stratacheck import __version__, errors, invariants
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
@@ -237,19 +237,24 @@ CONFIG_BYTES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(section=st.sampled_from(["cover", "pluecker", "lines27", "euler"]), config=CONFIG_BYTES)
-def test_cli_survives_any_config_bytes(section, config):
-    # the streams encode like a UTF-8 process: strict stdout, lenient stderr
+def _run_as_process(section, config):
+    """Run ``section --strict --json`` on config bytes and return the JSON
+    report's checks (none when it was not written).
+
+    The streams encode like a UTF-8 process: strict stdout, lenient stderr.
+    Any exit code is 0 to 3, with no traceback, and exit 3 prints exactly
+    one config-error line.
+    """
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_bytes(config)
-        argv = [section, "--strict", "--json", str(Path(tmp) / "report.json"),
-                "--config", str(path)]
+        report = Path(tmp) / "report.json"
+        argv = [section, "--strict", "--json", str(report), "--config", str(path)]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        checks = json.loads(report.read_text())["checks"] if report.exists() else []
     out.flush()
     err.seek(0)
     stderr = err.read()
@@ -257,6 +262,126 @@ def test_cli_survives_any_config_bytes(section, config):
     assert "Traceback" not in stderr
     if code == 3:
         assert stderr.startswith("config error:") and stderr.count("\n") == 1
+    return checks
+
+
+@settings(max_examples=150, deadline=None)
+@given(section=st.sampled_from(["cover", "pluecker", "lines27", "euler"]), config=CONFIG_BYTES)
+def test_cli_survives_any_config_bytes(section, config):
+    _run_as_process(section, config)
+
+
+# a torus-triple without invariants, and one on fewer variables than the
+# 12-variable layout its reference families read
+EMPTY_TRIPLE = {"actions": {"torus-triple": {"ambient_dim": 12, "torus_weights": [[1] * 12]}}}
+SHORT_TRIPLE = {
+    "actions": {"torus-triple": {"ambient_dim": 6, "finite_factors": [[5, [6, 0, 0, 3, 0, 0]]]}}
+}
+TOOLKIT_ERRORS = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.ToolkitError)
+}
+
+
+def _int_row(length):
+    return st.lists(st.integers(-3, 6), min_size=max(length, 0), max_size=max(length, 0))
+
+
+def _action_body(dim):
+    row = _int_row(dim)
+    return st.fixed_dictionaries({"ambient_dim": st.just(dim)}, optional={
+        "torus_weights": st.lists(row, max_size=2),
+        "finite_factors": st.lists(st.tuples(st.integers(0, 5), row).map(list), max_size=2),
+    })
+
+
+def _involution_body(order):
+    """The involution swapping consecutive entries of a permutation of
+    range(n): unsigned, or with equal signs on each swapped pair, or with one
+    sign flipped so that it no longer squares to the identity."""
+    pairs = list(zip(order[::2], order[1::2]))
+    image = list(range(len(order)))
+    for a, b in pairs:
+        image[a], image[b] = b, a
+
+    def signed(draw):
+        signs, flip = draw
+        for a, b in pairs:
+            signs[b] = signs[a]
+        if flip is not None and flip < len(signs):
+            signs[flip] = -signs[flip]
+        return {"permutation": image, "signs": signs}
+
+    return st.just({"permutation": image}) | st.tuples(
+        st.lists(st.sampled_from([1, -1]), min_size=len(order), max_size=len(order)),
+        st.none() | st.integers(0, len(order)),
+    ).map(signed)
+
+
+def _group_body(dim):
+    element = st.fixed_dictionaries({"order": st.integers(0, 6), "exponents": _int_row(dim)})
+    return st.fixed_dictionaries({"generators": st.lists(element, max_size=3)})
+
+
+ACTION_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "actions": st.dictionaries(
+        st.sampled_from(["torus-pair", "torus-triple", "negation-c4", "z2z2-c6"]),
+        st.integers(-1, 8).flatmap(_action_body), max_size=2,
+    ),
+    "involutions": st.dictionaries(
+        st.sampled_from(["swap-pair", "swap-triple"]),
+        st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))).flatmap(
+            _involution_body
+        ),
+        max_size=1,
+    ),
+    "groups": st.dictionaries(
+        st.sampled_from(["negation-c2", "negation-c4", "z2z2-c6"]),
+        st.integers(-1, 8).flatmap(_group_body),
+        max_size=2,
+    ),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(section=st.sampled_from(["invariants", "singularity"]), document=ACTION_DOCUMENTS)
+@example(section="invariants", document=EMPTY_TRIPLE)
+@example(section="invariants", document=SHORT_TRIPLE)
+def test_invariants_and_singularity_survive_redefined_inputs(section, document):
+    for check in _run_as_process(section, json.dumps(document).encode()):
+        if check["status"] == "error":
+            assert check["note"].split(":")[0] in TOOLKIT_ERRORS, check
+
+
+def test_triple_without_invariants_reports_computed_values(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EMPTY_TRIPLE))
+    assert main(["invariants", "--strict", "--config", str(path)]) == 2
+    text = capsys.readouterr().out
+    assert "ValueError" not in text
+    assert (
+        "[FAIL] invariants.torus-triple.fixed-locus.generator-count :: expected 17 "
+        "computed 0 (paper)"
+    ) in text
+    assert (
+        '[FAIL] invariants.torus-triple.relation-families :: expected '
+        '{"cross-letter-cubics":64,"quadratic-blocks":3,"within-letter-cubics":18} '
+        'computed {"cross-letter-cubics":0,"quadratic-blocks":0,"within-letter-cubics":0}'
+    ) in text
+    # every torus-triple row computes; only the isomorphism row, which has
+    # no generator bijection to check, is an error
+    assert text.count("[FAIL] invariants.torus-triple.") == 8
+    assert text.count("[ERROR]") == 1
+
+
+def test_relation_families_name_the_layout_they_read(tmp_path):
+    record = _run_with(tmp_path, SHORT_TRIPLE, "invariants")[
+        "invariants.torus-triple.relation-families"
+    ]
+    assert record.status == "error"
+    assert record.note.startswith(
+        "ToolkitError: the reference families read the 12-variable torus-triple layout"
+    )
 
 
 def test_config_override_changes_expected_outcome(tmp_path, capsys):

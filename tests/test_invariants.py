@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -355,6 +355,114 @@ def test_relations_expand_to_identities_and_are_minimal():
         assert not oracle_fibers_connected(expansions, moves[:dropped] + moves[dropped + 1 :])
 
 
+def closure_relations(pres, degree_bound, gen_signs=None):
+    """The congruence closure that the fiber components replaced, kept as
+    their reference: fibers in grlex order, two members merged when they
+    agree after deleting one shared generator in a lower fiber, by union-find
+    state carried across every fiber, then the components still apart joined
+    by fresh relations."""
+    fibers = {}
+
+    def visit(genexp, amb):
+        genexp = tuple(genexp)
+        key = (tuple(amb), invariants._genmon_sign(genexp, gen_signs))
+        fibers.setdefault(key, []).append(genexp)
+
+    invariants._bounded_vectors(
+        pres.generator_degrees(), pres.generators, pres.ambient_dim, degree_bound, visit
+    )
+    parent = {m: m for members in fibers.values() for m in members}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    relations = []
+    side_key = lambda u: (sum(u), u)
+    for key in sorted(fibers, key=lambda k: (grlex_order(k[0]), -k[1])):
+        members = sorted(fibers[key], key=side_key)
+        for a, b in combinations(members, 2):
+            if find(a) == find(b):
+                continue
+            for i in range(len(a)):
+                if a[i] and b[i]:
+                    da = a[:i] + (a[i] - 1,) + a[i + 1 :]
+                    db = b[:i] + (b[i] - 1,) + b[i + 1 :]
+                    if find(da) == find(db):
+                        parent[find(b)] = find(a)
+                        break
+        components = {}
+        for m in members:
+            components.setdefault(find(m), []).append(m)
+        reps = sorted((min(ms, key=side_key) for ms in components.values()), key=side_key)
+        for other in reps[1:]:
+            relations.append((reps[0], other))
+            parent[find(other)] = find(reps[0])
+    return tuple(relations)
+
+
+def test_fiber_components_match_the_closure_on_the_bundled_presentations(
+    triple, monkeypatch
+):
+    calls = []
+    components = invariants.binomial_relations
+
+    def spy(pres, degree_bound, gen_signs=None):
+        out = components(pres, degree_bound, gen_signs)
+        calls.append((pres, degree_bound, gen_signs, out))
+        return out
+
+    monkeypatch.setattr(invariants, "binomial_relations", spy)
+    pair = toric_relations(PAIR, invariant_generators(PAIR, 4), 4)
+    toric_relations(NEG4, invariant_generators(NEG4, 4), 4)
+    toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
+    spy(triple, 10)
+    spy(triple, 6)
+    # each fixed locus unsigned, as bundled, and with signs that make its
+    # generator monomials signed
+    triple_signs = (1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1)
+    for action, pres, swap, signs in (
+        (PAIR, pair, SWAP_PAIR, (-1,) * 8),
+        (TRIPLE, triple, SWAP_TRIPLE, triple_signs),
+    ):
+        fixed_locus_presentation(action, pres, swap)
+        fixed_locus_presentation(action, pres, CoordinateInvolution(swap.image, signs))
+    assert [len(out) for *_, out in calls] == [36, 20, 63, 133, 133, 20, 20, 63, 63]
+    assert [signs is not None for _, _, signs, _ in calls] == [False] * 6 + [True, False, True]
+    for pres, degree_bound, gen_signs, out in calls:
+        assert out == closure_relations(pres, degree_bound, gen_signs)
+
+
+def test_fiber_components_match_the_closure_on_500_random_presentations():
+    rng = random.Random(20261019)
+    presentations = signed_differ = 0
+    while presentations < 500:
+        n = rng.randint(1, 5)
+        torus = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))
+        )
+        finite = tuple(
+            (rng.randint(2, 4), tuple(rng.randint(-3, 3) for _ in range(n)))
+            for _ in range(rng.randint(0, 2))
+        )
+        try:
+            pres = invariant_generators(DiagonalAction(n, torus, finite), 3)
+        except NonSaturationError:
+            continue
+        if not 1 < len(pres.generators) <= 12:
+            continue
+        presentations += 1
+        bound = 2 * max(pres.generator_degrees()) + rng.randint(0, 1)
+        signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
+        unsigned = binomial_relations(pres, bound)
+        signed = binomial_relations(pres, bound, signs)
+        assert unsigned == closure_relations(pres, bound), (pres, bound)
+        assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
+        signed_differ += signed != unsigned
+    assert signed_differ > 50
+
+
 def test_toric_relations_rejects_non_invariant_generators():
     bad = MonoidPresentation(8, ((1, 0, 0, 0, 0, 0, 0, 0),))
     with pytest.raises(ToolkitError):
@@ -428,6 +536,17 @@ def test_fixed_locus_rejects_mismatched_dimensions():
 def test_involution_must_square_to_identity():
     with pytest.raises(InvolutionError):
         CoordinateInvolution((1, 2, 0))
+
+
+def test_presentation_without_generators_has_empty_fixed_locus_and_relations():
+    # only the constants are invariant under the diagonal C*
+    action = DiagonalAction(2, ((1, 1),))
+    empty = invariant_generators(action, 2)
+    assert empty.generators == ()
+    fixed = fixed_locus_presentation(action, empty, CoordinateInvolution((1, 0)))
+    assert fixed == MonoidPresentation(1, ())
+    assert invariants.within_subset_relation_count(empty, ()) == 0
+    assert presentations_isomorphic(empty, empty, ()).degree_bound == 0
 
 
 # ---------------------------------------------------------------------------
