@@ -188,13 +188,11 @@ def solve_unknown_count(
         raise ToolkitError(
             "unknown fiber chi equals the smooth fiber chi; count is undetermined"
         )
-    known_points = sum(count for count, _ in known_strata)
-    residue = (
-        total_chi
-        - (base_chi - known_points) * smooth_fiber_chi
-        - sum(count * chi for count, chi in known_strata)
+    # each unknown fiber stands where a smooth fiber would
+    count = Fraction(
+        total_chi - fibration_euler(known_strata, smooth_fiber_chi, base_chi),
+        unknown_fiber_chi - smooth_fiber_chi,
     )
-    count = Fraction(residue, unknown_fiber_chi - smooth_fiber_chi)
     if count.denominator != 1 or count < 0:
         raise InconsistentInputError(f"no admissible integer fiber count: {count}")
     return int(count)

@@ -1,10 +1,10 @@
 """Finite diagonal quotient singularities and the Reid-Tai age test.
 
 A group element is a diagonal matrix of roots of unity, recorded as an order
-r together with integer eigenvalue exponents.  The classification ranges over
-every nontrivial element of the group and every primitive embedding of the
-cyclic subgroup it generates: all ages strictly above 1 means terminal, all
-at least 1 means canonical.
+r together with integer eigenvalue exponents.  The group is closed as
+exponent vectors over the lcm of the generator orders, and the classification
+reads the plain age of every nontrivial element: all ages strictly above 1
+means terminal, all at least 1 means canonical.
 """
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ class CyclicDiagonalElement:
             self.order // g, tuple(a // g for a in self.exponents)
         )
 
-    def compose(self, other: "CyclicDiagonalElement") -> "CyclicDiagonalElement":
-        if len(self.exponents) != len(other.exponents):
-            raise ToolkitError("elements act on spaces of different dimensions")
-        m = lcm(self.order, other.order)
-        exps = tuple(
-            (a * (m // self.order) + b * (m // other.order)) % m
-            for a, b in zip(self.exponents, other.exponents)
-        )
-        return CyclicDiagonalElement(m, exps).reduced()
-
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.exponents)
 
@@ -69,6 +59,8 @@ class FiniteDiagonalGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
+        if not self.generators:
+            raise ToolkitError("a group needs at least one generator")
         dims = {len(g.exponents) for g in self.generators}
         if len(dims) != 1:
             raise ToolkitError("generators act on spaces of different dimensions")
@@ -78,20 +70,24 @@ class FiniteDiagonalGroup:
         return len(self.generators[0].exponents)
 
     def elements(self) -> tuple[CyclicDiagonalElement, ...]:
-        """Every group element in reduced form, identity included."""
-        identity = CyclicDiagonalElement(1, (0,) * self.ambient_dim)
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in self.generators:
-                    h = e.compose(g)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return tuple(sorted(seen, key=lambda e: (e.order, e.exponents)))
+        """Every group element in reduced form, identity included.
+
+        Over m = the lcm of the generator orders, a generator of order r is
+        the exponent vector a * (m // r) in (Z/m)^n and composing adds vectors
+        mod m.  The worklist closes the zero vector under adding generators.
+        """
+        m = lcm(*(g.order for g in self.generators))
+        steps = [tuple(a * (m // g.order) for a in g.exponents) for g in self.generators]
+        found = [(0,) * self.ambient_dim]
+        seen = set(found)
+        for v in found:
+            for step in steps:
+                w = tuple((a + b) % m for a, b in zip(v, step))
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        elements = (CyclicDiagonalElement(m, v).reduced() for v in found)
+        return tuple(sorted(elements, key=lambda e: (e.order, e.exponents)))
 
 
 class SingularityClass(str, Enum):
@@ -100,20 +96,19 @@ class SingularityClass(str, Enum):
     NOT_CANONICAL = "not_canonical"
 
 
-def _embedding_ages(element: CyclicDiagonalElement):
-    """Ages of the element under every primitive root embedding t -> z^t."""
-    r = element.order
-    for t in range(1, r):
-        if gcd(t, r) == 1:
-            yield Fraction(sum((t * a) % r for a in element.exponents), r)
-
-
 def classify_quotient(group: FiniteDiagonalGroup) -> SingularityClass:
     """Reid-Tai classification of C^n / G for a finite diagonal G.
 
     Requires the action to be free of quasi-reflections; a nontrivial element
     moving exactly one coordinate makes the criterion inapplicable as stated.
     The trivial group counts as terminal (the quotient is smooth).
+
+    Reid-Tai asks for the age of every nontrivial element under every
+    primitive embedding of its cyclic subgroup, but the plain ages suffice.
+    Take e of order r and t coprime to r.  The age of e under the embedding
+    z -> z^t is sum((t * a) mod r) / r, which is age(e^t), and e^t is again
+    a nontrivial element of the group.  So the ages over all elements and all
+    primitive embeddings are exactly the plain ages over all elements.
     """
     nontrivial = [e for e in group.elements() if not e.is_identity()]
     for e in nontrivial:
@@ -121,7 +116,7 @@ def classify_quotient(group: FiniteDiagonalGroup) -> SingularityClass:
             raise QuasiReflectionError(
                 f"element {e} fixes a hyperplane; age criterion does not apply"
             )
-    ages = [a for e in nontrivial for a in _embedding_ages(e)]
+    ages = [age(e) for e in nontrivial]
     if all(a > 1 for a in ages):
         return SingularityClass.TERMINAL
     if all(a >= 1 for a in ages):

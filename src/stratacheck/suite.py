@@ -188,6 +188,9 @@ def _triple_reference_families(triple):
 
 
 def _isomorphic(a, b):
+    """False without a bijection of equal generator vectors to check."""
+    if a.ambient_dim != b.ambient_dim or sorted(a.generators) != sorted(b.generators):
+        return False
     return bool(invariants.presentations_isomorphic(a, b, invariants.match_generators(a, b)))
 
 

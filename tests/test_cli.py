@@ -130,6 +130,15 @@ def test_cli_rejects_non_list_action_fields(field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_a_group_without_generators(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"groups": {"negation-c4": {"generators": []}}}))
+    assert main(["singularity", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: groups.negation-c4: a group needs at least one generator\n"
+    )
+
+
 @pytest.mark.parametrize(
     "config_text, json_path",
     [
@@ -368,10 +377,14 @@ def test_triple_without_invariants_reports_computed_values(tmp_path, capsys):
         '{"cross-letter-cubics":64,"quadratic-blocks":3,"within-letter-cubics":18} '
         'computed {"cross-letter-cubics":0,"quadratic-blocks":0,"within-letter-cubics":0}'
     ) in text
-    # every torus-triple row computes; only the isomorphism row, which has
-    # no generator bijection to check, is an error
-    assert text.count("[FAIL] invariants.torus-triple.") == 8
-    assert text.count("[ERROR]") == 1
+    assert (
+        "[FAIL] invariants.torus-triple.fixed-locus.isomorphic-z2z2-c6 :: expected true "
+        "computed false (paper)"
+    ) in text
+    # every torus-triple row computes, the isomorphism row included: without
+    # a generator bijection the presentations are not isomorphic
+    assert text.count("[FAIL] invariants.torus-triple.") == 9
+    assert text.count("[ERROR]") == 0
 
 
 def test_relation_families_name_the_layout_they_read(tmp_path):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from stratacheck.config import builtin_config
 from stratacheck.errors import QuasiReflectionError, ToolkitError
 from stratacheck.singularities import (
     INCONCLUSIVE,
@@ -99,17 +101,17 @@ def test_classification_invariant_under_permutation_and_generators():
             )
         )
         assert classify_quotient(permuted) is base
-    # a different generating set of the same group
+    # a different generating set of the same group: the product of the two
+    # generators, and the second
     g1, g2 = Z2Z2_C6.generators
-    alternative = FiniteDiagonalGroup((g1.compose(g2), g2))
+    alternative = FiniteDiagonalGroup((CyclicDiagonalElement(2, (1, 1, 1, 1, 0, 0)), g2))
     assert {e for e in alternative.elements()} == {e for e in Z2Z2_C6.elements()}
     assert classify_quotient(alternative) is base
 
 
-def test_composition_reduces_representation():
+def test_reduced_representation():
     g = CyclicDiagonalElement(4, (2, 2))
     assert g.reduced() == CyclicDiagonalElement(2, (1, 1))
-    assert g.compose(g).is_identity()
 
 
 def test_verdicts():
@@ -135,3 +137,109 @@ def test_mismatched_generator_dimensions_rejected():
         FiniteDiagonalGroup(
             (CyclicDiagonalElement(2, (1, 1)), CyclicDiagonalElement(2, (1, 1, 1)))
         )
+
+
+def composed(e, g):
+    """The product of two elements as the deleted ``compose`` formed it: both
+    rescaled to the lcm of their orders, added, then reduced."""
+    m = lcm(e.order, g.order)
+    exps = tuple(
+        (a * (m // e.order) + b * (m // g.order)) % m
+        for a, b in zip(e.exponents, g.exponents)
+    )
+    return CyclicDiagonalElement(m, exps).reduced()
+
+
+def breadth_first_elements(group):
+    """The closure that the exponent-vector worklist replaced, kept as its
+    reference: breadth-first from the reduced identity, composing each new
+    element with every generator."""
+    identity = CyclicDiagonalElement(1, (0,) * group.ambient_dim)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in group.generators:
+                h = composed(e, g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda e: (e.order, e.exponents)))
+
+
+def embedding_classification(elements):
+    """The Reid-Tai test as it was, kept as the reference: the age of every
+    nontrivial element under every primitive embedding t -> z^t of its cyclic
+    subgroup.  Returns the class, or the QuasiReflectionError message."""
+    nontrivial = [e for e in elements if not e.is_identity()]
+    for e in nontrivial:
+        if sum(1 for a in e.exponents if a) == 1:
+            return f"element {e} fixes a hyperplane; age criterion does not apply"
+    # each age as its numerator over the order: age > 1 is numerator > order
+    ages = [
+        (sum((t * a) % e.order for a in e.exponents), e.order)
+        for e in nontrivial
+        for t in range(1, e.order)
+        if gcd(t, e.order) == 1
+    ]
+    if all(num > r for num, r in ages):
+        return SingularityClass.TERMINAL
+    if all(num >= r for num, r in ages):
+        return SingularityClass.CANONICAL_NOT_TERMINAL
+    return SingularityClass.NOT_CANONICAL
+
+
+def plain_age_classification(group):
+    try:
+        return classify_quotient(group)
+    except QuasiReflectionError as exc:
+        return str(exc)
+
+
+def test_closure_and_plain_ages_match_the_reference_on_the_bundled_groups():
+    for group in builtin_config().groups.values():
+        reference = breadth_first_elements(group)
+        assert group.elements() == reference
+        assert plain_age_classification(group) == embedding_classification(reference)
+
+
+def random_group(rng):
+    """1 to 6 variables and 1 to 3 generators of order 1 to 8, some written
+    over a multiple of their order, some repeated."""
+    n = rng.randint(1, 6)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if gens and rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+            continue
+        r = rng.randint(1, 8)
+        exps = tuple(rng.randrange(-r, 2 * r) for _ in range(n))
+        scale = rng.choice((1, 1, 2, 3))
+        gens.append(CyclicDiagonalElement(r * scale, tuple(a * scale for a in exps)))
+    return FiniteDiagonalGroup(tuple(gens))
+
+
+def test_closure_and_plain_ages_match_the_reference_on_2000_random_groups():
+    rng = random.Random(8)
+    outcomes = set()
+    shapes = set()
+    for _ in range(2000):
+        group = random_group(rng)
+        reference = breadth_first_elements(group)
+        assert group.elements() == reference, group
+        outcome = plain_age_classification(group)
+        assert outcome == embedding_classification(reference), group
+        outcomes.add(outcome if isinstance(outcome, SingularityClass) else "quasi-reflection")
+        gens = group.generators
+        shapes.update(
+            {
+                "unreduced": any(g != g.reduced() for g in gens),
+                "repeated": len(set(gens)) < len(gens),
+                "order one": any(g.order == 1 for g in gens),
+            }.items()
+        )
+    assert outcomes == set(SingularityClass) | {"quasi-reflection"}
+    kinds = ("unreduced", "repeated", "order one")
+    assert shapes == {(kind, seen) for kind in kinds for seen in (True, False)}
