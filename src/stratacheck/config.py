@@ -19,6 +19,10 @@ from .ledger import Ledger, StratumEntry
 from .singularities import CyclicDiagonalElement, FiniteDiagonalGroup
 from .surfaces import ClassBasis
 
+# a group is enumerated element by element, and the product of its generator
+# orders, which bounds its order, may not pass this
+MAX_GROUP_ORDER = 10_000
+
 
 @dataclass(frozen=True)
 class ConfigDocument:
@@ -137,6 +141,7 @@ def _parse_involution(name: str, raw: dict) -> CoordinateInvolution:
 def _parse_group(name: str, raw: dict) -> FiniteDiagonalGroup:
     where = f"groups.{name}"
     gens = []
+    size = 1
     for i, g in enumerate(_need(raw, "generators", list, where)):
         if not isinstance(g, dict):
             raise ConfigError(f"{where}.generators[{i}]: expected an object")
@@ -149,6 +154,9 @@ def _parse_group(name: str, raw: dict) -> FiniteDiagonalGroup:
             gens.append(CyclicDiagonalElement(order, exps))
         except ToolkitError as exc:
             raise ConfigError(f"{where}.generators[{i}]: {exc}") from exc
+        size *= order
+        if size > MAX_GROUP_ORDER:
+            raise ConfigError(f"{where}: generator orders multiply past {MAX_GROUP_ORDER}")
     return FiniteDiagonalGroup(tuple(gens))
 
 

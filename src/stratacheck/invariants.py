@@ -16,6 +16,7 @@ through the generator bijection, must hold on the other side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
@@ -83,6 +84,8 @@ class MonoidPresentation:
         for g in gens:
             if len(g) != self.ambient_dim:
                 raise ToolkitError("generator has wrong ambient dimension")
+            if min(g, default=0) < 0:
+                raise ToolkitError(f"generator {g} has a negative exponent")
             if sum(g) < 1:
                 raise ToolkitError("the unit monomial cannot be a generator")
             if g in seen:
@@ -168,22 +171,20 @@ def is_invariant(action: DiagonalAction, monomial) -> bool:
     return True
 
 
-def _bounded_vectors(weights, images, dim, bound, visit, zero_rows=0, moduli=()) -> None:
-    """Call visit(e, image) for every exponent vector e >= 0 with
-    sum(e_i * weights[i]) <= bound.
+def _bounded_vectors(images, dim, bound, visit, zero_rows=0, moduli=()) -> None:
+    """Call visit(e) for every exponent vector e >= 0 with sum(e) <= bound.
 
     The order is fixed: the first entry varies slowest, each entry counts up
-    from zero.  image is sum(e_i * images[i]), a vector of length ``dim``
-    kept up to date as the entries change; both arguments are live lists, so
-    visit copies what it keeps.  The first ``zero_rows`` image coordinates
-    must end at zero and the next ``len(moduli)`` must end divisible by their
-    modulus; other vectors are skipped.  Zero rows also prune: with r units of the
-    bound left for the entries i.., the reachable change of such a
-    coordinate lies between r*min(0, images[i:]) and r*max(0, images[i:])
-    (every weight is at least one), so a partial image outside that window
-    is dead.
+    from zero.  e is a live list, so visit copies what it keeps.  The image
+    sum(e_i * images[i]), a vector of length ``dim``, is kept up to date as
+    the entries change: its first ``zero_rows`` coordinates must end at zero
+    and the next ``len(moduli)`` must end divisible by their modulus; other
+    vectors are skipped.  Zero rows also prune: with r units of the bound
+    left for the entries i.., the reachable change of such a coordinate lies
+    between r*min(0, images[i:]) and r*max(0, images[i:]), so a partial
+    image outside that window is dead.
     """
-    n = len(weights)
+    n = len(images)
     lo = [[0] * (n + 1) for _ in range(zero_rows)]
     hi = [[0] * (n + 1) for _ in range(zero_rows)]
     for r in range(zero_rows):
@@ -203,18 +204,17 @@ def _bounded_vectors(weights, images, dim, bound, visit, zero_rows=0, moduli=())
                 return
         if i == n:
             if all(img[j] % m == 0 for j, m in congruences):
-                visit(exps, img)
+                visit(exps)
             return
         rec(i + 1, remaining)
-        w = weights[i]
         step = steps[i]
         e = 0
-        while (e + 1) * w <= remaining:
+        while e < remaining:
             e += 1
             exps[i] = e
             for j, c in step:
                 img[j] += c
-            rec(i + 1, remaining - e * w)
+            rec(i + 1, remaining - e)
         if e:
             exps[i] = 0
             for j, c in step:
@@ -226,19 +226,18 @@ def _bounded_vectors(weights, images, dim, bound, visit, zero_rows=0, moduli=())
 def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
     """All invariant monomials of total degree <= max_degree, grlex sorted.
 
-    Every variable has degree one; the image of a monomial is its weight on
-    each torus row, which must vanish, followed by its weight on each finite
-    row, which must vanish modulo that row's order.
+    The image of a monomial is its weight on each torus row, which must
+    vanish, followed by its weight on each finite row, which must vanish
+    modulo that row's order.
     """
     n = action.ambient_dim
     rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
     found = []
     _bounded_vectors(
-        (1,) * n,
         tuple(tuple(row[i] for row in rows) for i in range(n)),
         len(rows),
         max_degree,
-        lambda e, _: found.append(tuple(e)),
+        lambda e: found.append(tuple(e)),
         len(action.torus_weights),
         tuple(m for m, _ in action.finite_factors),
     )
@@ -310,20 +309,15 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
 # binomial relations from the components of each fiber
 
 
-def _genmon_sign(genexp, gen_signs) -> int:
-    if gen_signs is None:
-        return 1
-    s = 1
-    for e, gs in zip(genexp, gen_signs):
-        if gs < 0 and e % 2:
-            s = -s
-    return s
-
-
 def _twice_top_degree(generators) -> int:
     """The default relation bound: twice the largest generator degree, or 0
     when there are no generators."""
     return 2 * max((sum(g) for g in generators), default=0)
+
+
+def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
+    """The ``length`` base-``base`` digits of code, most significant first."""
+    return tuple(code // base**p % base for p in range(length - 1, -1, -1))
 
 
 def binomial_relations(
@@ -339,6 +333,17 @@ def binomial_relations(
     related to each of the others.  Fibers are visited in grlex order of
     their ambient monomial, so relations come out by ambient degree.
 
+    Each generator monomial is one tuple of integers: weighted degree,
+    generator count, exponent vector and ambient monomial, both packed base
+    B = max(bound, 0) + 1 with index 0 most significant, support bitmask
+    and sign.  Generators have nonnegative exponents and degree at least 1,
+    so up to the bound every exponent of either kind is a digit below B:
+    both packings are injective, and (count, packed vector) orders members
+    by (degree, vector) since numeric order is lex order.  Monomials grow
+    one generator at a time by integer addition with the generator's sign
+    multiplied in, components are joined on the support masks, and only
+    fibers with two or more components are unpacked into tuples.
+
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
     to w + v.  A relation of lower degree has w nonzero, so its moves only
@@ -351,34 +356,48 @@ def binomial_relations(
     apart: each returned relation is needed, and together they connect
     every fiber.  No state carries from one fiber to the next.
     """
+    k, n = len(pres.generators), pres.ambient_dim
+    base = max(degree_bound, 0) + 1
+    members = [(0, 0, 0, 0, 0, 1)]
+    for i, g in enumerate(pres.generators):
+        # each pass multiplies the previous pass's monomials by g once more
+        d = sum(g)
+        cap = degree_bound - d
+        step = base ** (k - 1 - i)
+        bit = 1 << i
+        amb = sum(e * base ** (n - 1 - j) for j, e in enumerate(g))
+        sign = -1 if gen_signs is not None and gen_signs[i] < 0 else 1
+        layer = members
+        while layer:
+            layer = [
+                (w + d, c + 1, code + step, mask | bit, a + amb, s * sign)
+                for w, c, code, mask, a, s in layer
+                if w <= cap
+            ]
+            members += layer
     fibers: dict = {}
+    for m in members:
+        fibers.setdefault(m[4:], []).append(m)
 
-    def visit(genexp, amb):
-        genexp = tuple(genexp)
-        key = (tuple(amb), _genmon_sign(genexp, gen_signs))
-        fibers.setdefault(key, []).append(genexp)
-
-    _bounded_vectors(
-        pres.generator_degrees(), pres.generators, pres.ambient_dim, degree_bound, visit
-    )
-
-    relations = []
-    side_key = lambda u: (sum(u), u)
-    for key in sorted(fibers, key=lambda k: (_grlex_key(k[0]), -k[1])):
-        if len(fibers[key]) < 2:
-            continue
-        # (generator indices, least member) per component; the index sets
-        # are disjoint, and members arrive in increasing order
+    emitting = []
+    for (a, s), group in fibers.items():
+        # the support masks of the components, which are disjoint
         components = []
-        for m in sorted(fibers[key], key=side_key):
-            support = {i for i, e in enumerate(m) if e}
-            joined = [c for c in components if not support.isdisjoint(c[0])]
-            components = [c for c in components if support.isdisjoint(c[0])]
-            least = min((c[1] for c in joined), key=side_key, default=m)
-            components.append((support.union(*(c[0] for c in joined)), least))
-        reps = sorted((least for _, least in components), key=side_key)
-        relations.extend((reps[0], other) for other in reps[1:])
-    return tuple(relations)
+        for m in group:
+            mask = m[3]
+            rest = []
+            for other in components:
+                if other & mask:
+                    mask |= other
+                else:
+                    rest.append(other)
+            rest.append(mask)
+            components = rest
+        if len(components) > 1:
+            leasts = sorted(min(m[1:3] for m in group if m[3] & c) for c in components)
+            reps = [_digits(code, base, k) for _, code in leasts]
+            emitting.append((_grlex_key(_digits(a, base, n)), -s, reps))
+    return tuple((reps[0], other) for *_, reps in sorted(emitting) for other in reps[1:])
 
 
 def toric_relations(
@@ -394,11 +413,8 @@ def toric_relations(
 
 def relation_profile(pres: MonoidPresentation) -> dict:
     """Histogram of relations keyed by (ambient degree, sorted side degrees)."""
-    profile: dict = {}
-    for u, v in pres.relations:
-        key = (sum(pres.expand(u)), tuple(sorted((sum(u), sum(v)))))
-        profile[key] = profile.get(key, 0) + 1
-    return profile
+    keys = ((sum(pres.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in pres.relations)
+    return dict(Counter(keys))
 
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
@@ -413,30 +429,16 @@ def cubic_quadratic_matchings(pres: MonoidPresentation) -> int:
     Regenerates the cubic relation family one index pair at a time by looking
     up a triple of quadratic generators with the same ambient expansion.
     """
-    quadratics = [i for i, g in enumerate(pres.generators) if sum(g) == 2]
-    cubics = [i for i, g in enumerate(pres.generators) if sum(g) == 3]
-    triple_products = {}
-    for a in quadratics:
-        for b in quadratics:
-            if b < a:
-                continue
-            for c in quadratics:
-                if c < b:
-                    continue
-                amb = tuple(
-                    x + y + z
-                    for x, y, z in zip(
-                        pres.generators[a], pres.generators[b], pres.generators[c]
-                    )
-                )
-                triple_products.setdefault(amb, (a, b, c))
-    count = 0
-    for i, a in enumerate(cubics):
-        for b in cubics[i:]:
-            amb = tuple(x + y for x, y in zip(pres.generators[a], pres.generators[b]))
-            if amb in triple_products:
-                count += 1
-    return count
+
+    def products(degree, factors):
+        indices = [i for i, g in enumerate(pres.generators) if sum(g) == degree]
+        return [
+            tuple(map(sum, zip(*(pres.generators[i] for i in combo))))
+            for combo in combinations_with_replacement(indices, factors)
+        ]
+
+    triple_products = set(products(2, 3))
+    return sum(amb in triple_products for amb in products(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +493,8 @@ def fixed_locus_presentation(
     _check_normalizes(action, pres, inv)
 
     n = action.ambient_dim
-    rep = list(range(n))
-    zeroed = [False] * n
-    for i in range(n):
-        j = inv.image[i]
-        if j == i and inv.signs[i] == -1:
-            zeroed[i] = True
-        rep[i] = min(i, j)
+    rep = [min(i, j) for i, j in enumerate(inv.image)]
+    zeroed = [j == i and s == -1 for i, (j, s) in enumerate(zip(inv.image, inv.signs))]
     reps = sorted({rep[i] for i in range(n) if not zeroed[i]})
     index_of = {r: k for k, r in enumerate(reps)}
 

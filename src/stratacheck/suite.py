@@ -12,6 +12,7 @@ satisfy the dual-curve equations, whose unique solution is 96, so stratum
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,18 +147,11 @@ class _Run:
 
 
 def _degree_histogram(pres):
-    hist: dict[int, int] = {}
-    for g in pres.generators:
-        hist[sum(g)] = hist.get(sum(g), 0) + 1
-    return hist
+    return dict(Counter(sum(g) for g in pres.generators))
 
 
 def _ambient_relation_histogram(pres):
-    hist: dict[int, int] = {}
-    for u, _v in pres.relations:
-        d = sum(pres.expand(u))
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    return dict(Counter(sum(pres.expand(u)) for u, _ in pres.relations))
 
 
 def _is_minor_swap(pres, relation):

@@ -139,6 +139,25 @@ def test_cli_rejects_a_group_without_generators(tmp_path, capsys):
     )
 
 
+def test_cli_rejects_a_group_past_the_order_limit(tmp_path, capsys):
+    # two order-200 generators would build 40,000 elements
+    generators = [
+        {"order": 200, "exponents": [1, 1, 0, 0]},
+        {"order": 200, "exponents": [0, 0, 1, 1]},
+    ]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"groups": {"negation-c4": {"generators": generators}}}))
+    assert main(["singularity", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: groups.negation-c4: generator orders multiply past 10000\n"
+    )
+    # orders multiplying to the limit itself are accepted
+    for g in generators:
+        g["order"] = 100
+    group = parse_config({"groups": {"big": {"generators": generators}}}, "t").groups["big"]
+    assert [g.order for g in group.generators] == [100, 100]
+
+
 @pytest.mark.parametrize(
     "config_text, json_path",
     [

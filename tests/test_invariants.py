@@ -355,6 +355,28 @@ def test_relations_expand_to_identities_and_are_minimal():
         assert not oracle_fibers_connected(expansions, moves[:dropped] + moves[dropped + 1 :])
 
 
+def genmon_sign(genexp, gen_signs):
+    """Sign of a generator monomial: flipped once for every odd exponent on
+    a generator of negative sign."""
+    if gen_signs is None:
+        return 1
+    s = 1
+    for e, gs in zip(genexp, gen_signs):
+        if gs < 0 and e % 2:
+            s = -s
+    return s
+
+
+def weighted_vectors(degrees, bound):
+    """Every exponent vector e >= 0 with sum(e_i * degrees[i]) <= bound."""
+    if not degrees:
+        yield ()
+        return
+    for head in range(bound // degrees[0] + 1):
+        for tail in weighted_vectors(degrees[1:], bound - head * degrees[0]):
+            yield (head,) + tail
+
+
 def closure_relations(pres, degree_bound, gen_signs=None):
     """The congruence closure that the fiber components replaced, kept as
     their reference: fibers in grlex order, two members merged when they
@@ -362,15 +384,9 @@ def closure_relations(pres, degree_bound, gen_signs=None):
     state carried across every fiber, then the components still apart joined
     by fresh relations."""
     fibers = {}
-
-    def visit(genexp, amb):
-        genexp = tuple(genexp)
-        key = (tuple(amb), invariants._genmon_sign(genexp, gen_signs))
+    for genexp in weighted_vectors([sum(g) for g in pres.generators], degree_bound):
+        key = (pres.expand(genexp), genmon_sign(genexp, gen_signs))
         fibers.setdefault(key, []).append(genexp)
-
-    invariants._bounded_vectors(
-        pres.generator_degrees(), pres.generators, pres.ambient_dim, degree_bound, visit
-    )
     parent = {m: m for members in fibers.values() for m in members}
 
     def find(x):
@@ -461,6 +477,27 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
         assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
         signed_differ += signed != unsigned
     assert signed_differ > 50
+
+
+def test_packed_members_match_the_closure_at_the_packing_boundaries():
+    # x, y and xy: x^bound packs to the digit B - 1 of base B = bound + 1,
+    # in the generator exponents and in the ambient monomial alike
+    corner = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
+    empty = MonoidPresentation(3, ())
+    cases = [(corner, bound) for bound in range(-2, 13)] + [(empty, 4), (empty, 0), (empty, -1)]
+    for pres, bound in cases:
+        sign_choices = [None] + list(product((1, -1), repeat=len(pres.generators)))
+        for signs in sign_choices:
+            got = binomial_relations(pres, bound, signs)
+            assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+    assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
+    assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
+    assert binomial_relations(empty, 4) == ()
+
+
+def test_generators_with_negative_exponents_are_rejected():
+    with pytest.raises(ToolkitError, match="negative exponent"):
+        MonoidPresentation(2, ((2, -1),))
 
 
 def test_toric_relations_rejects_non_invariant_generators():
