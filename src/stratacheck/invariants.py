@@ -9,9 +9,11 @@ irreducible above the bound certifies that the bound was too small.
 Relations come from the expansion fibers of generator monomials: in each
 fiber, the members that share a generator form one component, and one
 relation joins each further component to the first, so every answer is
-exact up to the stated degree bound.  An isomorphism of presentations is
-certified by those relations: each side's minimal relations, carried
-through the generator bijection, must hold on the other side.
+exact up to the stated degree bound.  Two invariant rings in the same
+ambient variables are isomorphic when their generator sets agree; for a
+given generator bijection, ``presentations_isomorphic`` certifies the
+isomorphism by relations: each side's minimal relations, carried through
+the bijection, must hold on the other side.
 """
 
 from __future__ import annotations
@@ -106,9 +108,6 @@ class MonoidPresentation:
                     out[i] += e * gi
         return tuple(out)
 
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sum(g) for g in self.generators)
-
 
 @dataclass(frozen=True)
 class CoordinateInvolution:
@@ -144,9 +143,6 @@ class IsomorphismResult:
     detail: str
     counterexample: tuple | None = None
 
-    def __bool__(self) -> bool:
-        return self.isomorphic
-
 
 # ---------------------------------------------------------------------------
 # invariance and enumeration
@@ -171,40 +167,38 @@ def is_invariant(action: DiagonalAction, monomial) -> bool:
     return True
 
 
-def _bounded_vectors(images, dim, bound, visit, zero_rows=0, moduli=()) -> None:
-    """Call visit(e) for every exponent vector e >= 0 with sum(e) <= bound.
+def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
+    """All invariant monomials of total degree <= max_degree, grlex sorted.
 
-    The order is fixed: the first entry varies slowest, each entry counts up
-    from zero.  e is a live list, so visit copies what it keeps.  The image
-    sum(e_i * images[i]), a vector of length ``dim``, is kept up to date as
-    the entries change: its first ``zero_rows`` coordinates must end at zero
-    and the next ``len(moduli)`` must end divisible by their modulus; other
-    vectors are skipped.  Zero rows also prune: with r units of the bound
-    left for the entries i.., the reachable change of such a coordinate lies
-    between r*min(0, images[i:]) and r*max(0, images[i:]), so a partial
-    image outside that window is dead.
+    A depth-first walk sets the exponents in variable order, the first
+    varying slowest and each counting up from zero, and keeps the weight of
+    the partial monomial on every torus row, then every finite row, up to
+    date.  A torus weight must end at zero, so it also prunes: with r units
+    of degree left for the variables i.., it can still change by between
+    r*min(0, row[i:]) and r*max(0, row[i:]), and a partial weight outside
+    that window is dead.  A finite weight must end divisible by its
+    modulus.  A negative bound admits no monomial.
     """
-    n = len(images)
-    lo = [[0] * (n + 1) for _ in range(zero_rows)]
-    hi = [[0] * (n + 1) for _ in range(zero_rows)]
-    for r in range(zero_rows):
-        for i in range(n - 1, -1, -1):
-            lo[r][i] = min(lo[r][i + 1], images[i][r])
-            hi[r][i] = max(hi[r][i + 1], images[i][r])
-    steps = [[(j, c) for j, c in enumerate(image) if c] for image in images]
-    congruences = [(zero_rows + j, m) for j, m in enumerate(moduli)]
-
+    if max_degree < 0:
+        return ()
+    n, k = action.ambient_dim, len(action.torus_weights)
+    rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
+    lo = [[min((0, *row[i:])) for i in range(n + 1)] for row in action.torus_weights]
+    hi = [[max((0, *row[i:])) for i in range(n + 1)] for row in action.torus_weights]
+    steps = [[(j, row[i]) for j, row in enumerate(rows) if row[i]] for i in range(n)]
+    congruences = [(k + j, m) for j, (m, _) in enumerate(action.finite_factors)]
     exps = [0] * n
-    img = [0] * dim
+    weight = [0] * len(rows)
+    found = []
 
     def rec(i: int, remaining: int) -> None:
-        for r in range(zero_rows):
-            t = -img[r]
+        for r in range(k):
+            t = -weight[r]
             if t < remaining * lo[r][i] or t > remaining * hi[r][i]:
                 return
         if i == n:
-            if all(img[j] % m == 0 for j, m in congruences):
-                visit(exps)
+            if all(weight[j] % m == 0 for j, m in congruences):
+                found.append(tuple(exps))
             return
         rec(i + 1, remaining)
         step = steps[i]
@@ -213,34 +207,14 @@ def _bounded_vectors(images, dim, bound, visit, zero_rows=0, moduli=()) -> None:
             e += 1
             exps[i] = e
             for j, c in step:
-                img[j] += c
+                weight[j] += c
             rec(i + 1, remaining - e)
         if e:
             exps[i] = 0
             for j, c in step:
-                img[j] -= e * c
+                weight[j] -= e * c
 
-    rec(0, bound)
-
-
-def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
-    """All invariant monomials of total degree <= max_degree, grlex sorted.
-
-    The image of a monomial is its weight on each torus row, which must
-    vanish, followed by its weight on each finite row, which must vanish
-    modulo that row's order.
-    """
-    n = action.ambient_dim
-    rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
-    found = []
-    _bounded_vectors(
-        tuple(tuple(row[i] for row in rows) for i in range(n)),
-        len(rows),
-        max_degree,
-        lambda e: found.append(tuple(e)),
-        len(action.torus_weights),
-        tuple(m for m, _ in action.finite_factors),
-    )
+    rec(0, max_degree)
     return tuple(sorted(found, key=_grlex_key))
 
 
@@ -445,14 +419,6 @@ def cubic_quadratic_matchings(pres: MonoidPresentation) -> int:
 # fixed loci of normalizing involutions
 
 
-def _permuted_exponents(g, image) -> tuple[int, ...]:
-    out = [0] * len(g)
-    for i, e in enumerate(g):
-        if e:
-            out[image[i]] += e
-    return tuple(out)
-
-
 def _check_normalizes(
     action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution
 ) -> None:
@@ -464,7 +430,8 @@ def _check_normalizes(
     pass; a substitution moving a generator off the invariant cone fails.
     """
     for g in pres.generators:
-        image = _permuted_exponents(g, inv.image)
+        # x_i goes to x_image[i], and image is its own inverse
+        image = tuple(g[j] for j in inv.image)
         if not is_invariant(action, image):
             raise InvolutionError(
                 f"involution does not normalize the action: generator {g} "

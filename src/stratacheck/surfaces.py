@@ -100,25 +100,13 @@ def adjunction_genus(canonical_degree: int) -> int:
     return g
 
 
-def bidegree_class(
-    basis: ClassBasis,
-    p: int,
-    q: int,
-    hyperplane_degree: int,
-    first_ruling: str = "f1",
-    second_ruling: str = "f2",
-) -> DivisorClass:
+def bidegree_class(basis: ClassBasis, p: int, q: int, hyperplane_degree: int) -> DivisorClass:
     """Class of a bidegree-(p, q) form restricted to a curve self-product.
 
     On C x C with deg(hyperplane restricted to C) = hyperplane_degree, the
-    restriction is numerically q*h on the first ruling plus p*h on the second.
+    restriction is numerically q*h on the first ruling, labelled f1, plus p*h
+    on the second, labelled f2.
     """
     if p < 0 or q < 0 or hyperplane_degree < 0:
         raise ToolkitError("bidegree data must be non-negative")
-    return divisor(
-        basis,
-        **{
-            first_ruling: q * hyperplane_degree,
-            second_ruling: p * hyperplane_degree,
-        },
-    )
+    return divisor(basis, f1=q * hyperplane_degree, f2=p * hyperplane_degree)

@@ -90,7 +90,7 @@ def oracle_moves(pres, bound):
     for each relation (u, v) its moves w + u -> w + v among them."""
     k = len(pres.generators)
     expansions = {}
-    for total in range(bound // min(pres.generator_degrees()) + 1):
+    for total in range(bound // min(sum(g) for g in pres.generators) + 1):
         for combo in combinations_with_replacement(range(k), total):
             e = tuple(combo.count(i) for i in range(k))
             if sum(pres.expand(e)) <= bound:
@@ -469,7 +469,7 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
         if not 1 < len(pres.generators) <= 12:
             continue
         presentations += 1
-        bound = 2 * max(pres.generator_degrees()) + rng.randint(0, 1)
+        bound = 2 * max(sum(g) for g in pres.generators) + rng.randint(0, 1)
         signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
         unsigned = binomial_relations(pres, bound)
         signed = binomial_relations(pres, bound, signs)
@@ -670,13 +670,49 @@ def test_grlex_key_total_degree_first():
     assert ms.index((2, 0)) < ms.index((1, 1))
 
 
+def random_enumeration_action(rng):
+    """A random action whose torus rows are mixed, all positive or all
+    negative, so the enumerator's pruning windows take every shape."""
+    n = rng.randint(1, 6)
+    torus = []
+    for _ in range(rng.randint(0, 2)):
+        low, high = rng.choice(((-2, 2), (1, 2), (-2, -1)))
+        torus.append(tuple(rng.randint(low, high) for _ in range(n)))
+    finite = tuple(
+        (rng.randint(2, 5), tuple(rng.randint(-3, 3) for _ in range(n)))
+        for _ in range(rng.randint(0, 2))
+    )
+    return DiagonalAction(n, tuple(torus), finite)
+
+
 def test_invariant_monomials_sorted_and_complete():
     ms = invariant_monomials(NEG4, 4)
     brute = sorted(
         (m for m in all_monomials(4, 4) if oracle_is_invariant(NEG4, m)),
-        key=lambda m: (sum(m), tuple(-e for e in m)),
+        key=grlex_order,
     )
     assert list(ms) == brute
+    # a negative bound admits no monomial, with or without torus rows
+    for action in (DiagonalAction(2), DiagonalAction(2, ((1, -1),)), NEG4):
+        assert invariant_monomials(action, -1) == ()
+    rng = random.Random(20261020)
+    row_signs = set()
+    for _ in range(300):
+        action = random_enumeration_action(rng)
+        row_signs.update(
+            (min(row) > 0) - (max(row) < 0) for row in action.torus_weights
+        )
+        for bound in range(-1, 7):
+            brute = sorted(
+                (
+                    m
+                    for m in all_monomials(action.ambient_dim, bound)
+                    if oracle_is_invariant(action, m)
+                ),
+                key=grlex_order,
+            )
+            assert list(invariant_monomials(action, bound)) == brute, (action, bound)
+    assert row_signs == {-1, 0, 1}
 
 
 def test_every_relation_side_has_equal_expansion_under_validation():
