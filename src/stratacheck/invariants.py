@@ -4,16 +4,16 @@ An action is pure weight data: a monomial is invariant exactly when its
 exponent vector is orthogonal to every torus weight row and satisfies every
 finite congruence row, so it depends only on the total exponent on each
 class of variables with equal weights.  Generating sets come from one grlex
-sieve over those class vectors up to twice the bound, whose first
-irreducible above the bound certifies that the bound was too small.
-Relations come from the expansion fibers of generator monomials: in each
-fiber, the members that share a generator form one component, and one
-relation joins each further component to the first, so every answer is
-exact up to the stated degree bound.  Two invariant rings in the same
-ambient variables are isomorphic when their generator sets agree; for a
-given generator bijection, ``presentations_isomorphic`` certifies the
-isomorphism by relations: each side's minimal relations, carried through
-the bijection, must hold on the other side.
+sieve over those class vectors, built one degree at a time up to twice the
+bound; it stops at the first irreducible above the bound, which certifies
+that the bound was too small.  Relations come from the expansion fibers of
+generator monomials: in each fiber, the members that share a generator form
+one component, and one relation joins each further component to the first,
+so every answer is exact up to the stated degree bound.  Two invariant rings
+in the same ambient variables are isomorphic when their generator sets
+agree; for a given generator bijection, ``presentations_isomorphic``
+certifies the isomorphism by relations: each side's minimal relations,
+carried through the bijection, must hold on the other side.
 """
 
 from __future__ import annotations
@@ -167,55 +167,66 @@ def is_invariant(action: DiagonalAction, monomial) -> bool:
     return True
 
 
-def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
-    """All invariant monomials of total degree <= max_degree, grlex sorted.
+def _invariant_vectors(action: DiagonalAction, max_degree: int):
+    """Yield the invariant monomials of degree <= max_degree in grlex order,
+    built one exact degree at a time.
 
-    A depth-first walk sets the exponents in variable order, the first
-    varying slowest and each counting up from zero, and keeps the weight of
-    the partial monomial on every torus row, then every finite row, up to
-    date.  A torus weight must end at zero, so it also prunes: with r units
-    of degree left for the variables i.., it can still change by between
-    r*min(0, row[i:]) and r*max(0, row[i:]), and a partial weight outside
-    that window is dead.  A finite weight must end divisible by its
-    modulus.  A negative bound admits no monomial.
+    For each degree a depth-first walk sets the exponents in variable order,
+    the first varying slowest and each counting down from the degree left,
+    which is grlex order.  It keeps the weight of the partial monomial on
+    every torus row, then every finite row, up to date.  A torus weight must
+    end at zero: with r units of degree left for the variables i.., it can
+    still change by between r*min(row[i:]) and r*max(row[i:]), so each
+    exponent runs only over the interval that keeps the next window live.
+    The last exponent is the degree left and its window is the torus
+    equation, so the last variable only checks the congruences: a finite
+    weight must end divisible by its modulus.
     """
-    if max_degree < 0:
-        return ()
     n, k = action.ambient_dim, len(action.torus_weights)
     rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
-    lo = [[min((0, *row[i:])) for i in range(n + 1)] for row in action.torus_weights]
-    hi = [[max((0, *row[i:])) for i in range(n + 1)] for row in action.torus_weights]
+    lo = [[min(row[i:]) for i in range(n)] for row in action.torus_weights]
+    hi = [[max(row[i:]) for i in range(n)] for row in action.torus_weights]
     steps = [[(j, row[i]) for j, row in enumerate(rows) if row[i]] for i in range(n)]
-    congruences = [(k + j, m) for j, (m, _) in enumerate(action.finite_factors)]
+    congruences = [(k + j, m, w[-1]) for j, (m, w) in enumerate(action.finite_factors)]
     exps = [0] * n
     weight = [0] * len(rows)
     found = []
 
     def rec(i: int, remaining: int) -> None:
-        for r in range(k):
-            t = -weight[r]
-            if t < remaining * lo[r][i] or t > remaining * hi[r][i]:
-                return
-        if i == n:
-            if all(weight[j] % m == 0 for j, m in congruences):
+        if i == n - 1:
+            if all((weight[j] + remaining * c) % m == 0 for j, m, c in congruences):
+                exps[i] = remaining
                 found.append(tuple(exps))
             return
-        rec(i + 1, remaining)
-        step = steps[i]
-        e = 0
-        while e < remaining:
-            e += 1
+        # window of i+1: e*(c - lo) <= -w - remaining*lo, e*(hi - c) <= w + remaining*hi
+        top, bottom = remaining, 0
+        for r, row in enumerate(action.torus_weights):
+            w, c, a, b = weight[r], row[i], lo[r][i + 1], hi[r][i + 1]
+            for p, q in ((c - a, -w - remaining * a), (b - c, w + remaining * b)):
+                if p > 0:
+                    top = min(top, q // p)
+                elif p < 0:
+                    bottom = max(bottom, -(q // -p))
+                elif q < 0:
+                    return
+        for e in range(top, bottom - 1, -1):
+            for j, c in steps[i]:
+                weight[j] += e * c
             exps[i] = e
-            for j, c in step:
-                weight[j] += c
             rec(i + 1, remaining - e)
-        if e:
-            exps[i] = 0
-            for j, c in step:
+            for j, c in steps[i]:
                 weight[j] -= e * c
 
-    rec(0, max_degree)
-    return tuple(sorted(found, key=_grlex_key))
+    for degree in range(max_degree + 1):
+        if all(degree * a[0] <= 0 <= degree * b[0] for a, b in zip(lo, hi)):
+            found.clear()
+            rec(0, degree)
+            yield from found
+
+
+def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
+    """All invariant monomials of total degree <= max_degree, grlex sorted."""
+    return tuple(_invariant_vectors(action, max_degree))
 
 
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
@@ -229,17 +240,17 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
     when its class vector is, since any split of the class totals is
     realised by splitting the exponents.
 
-    One grlex sieve over the invariant class vectors of degree at most
-    2*degree_bound keeps a vector when no kept one divides it.  The quotient
-    of an invariant vector by an invariant divisor is invariant, and grlex
-    visits every divisor first, so the kept vectors are the irreducible
-    ones.  Their expansions, grlex sorted, are the generators: the
-    irreducible invariant monomials up to twice the bound.
+    One grlex sieve pulls the invariant class vectors of degree at most
+    2*degree_bound, a degree at a time, and keeps a vector when no kept one
+    divides it.  The quotient of an invariant vector by an invariant divisor
+    is invariant, and grlex visits every divisor first, so the kept vectors
+    are the irreducible ones.  Their expansions, grlex sorted, are the
+    generators: the irreducible invariant monomials up to twice the bound.
 
     Saturation certificate: the first kept vector above degree_bound raises
-    NonSaturationError.  The witness puts each class total on the class's
-    first member: the grlex-first irreducible monomial above the bound, and
-    so the first invariant monomial that does not factor into the generators.
+    NonSaturationError before a higher degree is built.  The witness puts
+    each class total on the class's first member: the grlex-first monomial
+    above the bound that does not factor into the generators.
     """
     if degree_bound < 1:
         raise ToolkitError("degree bound must be >= 1")
@@ -264,7 +275,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
             yield tuple(flat.count(i) for i in range(action.ambient_dim))
 
     kept = []
-    for v in invariant_monomials(quotient, 2 * degree_bound):
+    for v in _invariant_vectors(quotient, 2 * degree_bound):
         if sum(v) == 0 or any(all(x <= y for x, y in zip(g, v)) for g in kept):
             continue
         if sum(v) > degree_bound:
@@ -290,8 +301,12 @@ def _twice_top_degree(generators) -> int:
 
 
 def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
-    """The ``length`` base-``base`` digits of code, most significant first."""
-    return tuple(code // base**p % base for p in range(length - 1, -1, -1))
+    """The ``length`` base-``base`` digits of code, most significant first,
+    peeled off the least significant end one divmod at a time."""
+    digits = [0] * length
+    for p in range(length - 1, -1, -1):
+        code, digits[p] = divmod(code, base)
+    return tuple(digits)
 
 
 def binomial_relations(
@@ -312,11 +327,11 @@ def binomial_relations(
     B = max(bound, 0) + 1 with index 0 most significant, support bitmask
     and sign.  Generators have nonnegative exponents and degree at least 1,
     so up to the bound every exponent of either kind is a digit below B:
-    both packings are injective, and (count, packed vector) orders members
-    by (degree, vector) since numeric order is lex order.  Monomials grow
-    one generator at a time by integer addition with the generator's sign
-    multiplied in, components are joined on the support masks, and only
-    fibers with two or more components are unpacked into tuples.
+    both packings are injective and numeric order is lex order, so (count,
+    packed vector) orders members by (degree, vector) and (weighted degree,
+    -packed monomial) orders fibers grlex.  Monomials grow one generator
+    and its sign at a time by integer addition, components are joined on
+    the support masks, and only the representatives are unpacked.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
@@ -370,7 +385,7 @@ def binomial_relations(
         if len(components) > 1:
             leasts = sorted(min(m[1:3] for m in group if m[3] & c) for c in components)
             reps = [_digits(code, base, k) for _, code in leasts]
-            emitting.append((_grlex_key(_digits(a, base, n)), -s, reps))
+            emitting.append((group[0][0], -a, -s, reps))
     return tuple((reps[0], other) for *_, reps in sorted(emitting) for other in reps[1:])
 
 

@@ -261,12 +261,13 @@ def test_quotient_sieve_matches_ambient_sieve_on_500_aliased_actions(monkeypatch
     # the sieve must run on the coarsest quotient: one variable per distinct
     # weight column, finite weights compared modulo their orders
     quotient_dims = []
+    enumerate_vectors = invariants._invariant_vectors
 
     def spy(action, max_degree):
         quotient_dims.append(action.ambient_dim)
-        return invariant_monomials(action, max_degree)
+        return enumerate_vectors(action, max_degree)
 
-    monkeypatch.setattr(invariants, "invariant_monomials", spy)
+    monkeypatch.setattr(invariants, "_invariant_vectors", spy)
     rng = random.Random(20261018)
     actions = [DiagonalAction(4, (), ((2, (1, 3, -1, 0)),))]
     actions += [random_aliased_action(rng) for _ in range(500)]
@@ -278,8 +279,8 @@ def test_quotient_sieve_matches_ambient_sieve_on_500_aliased_actions(monkeypatch
             for i in range(action.ambient_dim)
         }
         for bound in (3, 4):
-            quotient_dims.clear()
             expected = sieve_outcome(ambient_sieve, action, bound)
+            quotient_dims.clear()
             got = sieve_outcome(lambda a, b: invariant_generators(a, b).generators, action, bound)
             assert got == expected, (action, bound)
             assert quotient_dims == [len(columns)], (action, bound)
@@ -290,6 +291,35 @@ def test_quotient_sieve_matches_ambient_sieve_on_500_aliased_actions(monkeypatch
         (0, 0, 0, 1), (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
         (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0),
     )
+
+
+def test_sieve_stops_at_its_witness(monkeypatch):
+    # the sieve pulls class vectors one at a time and stops at the witness;
+    # a walk run to its end reaches twice the bound
+    reached = []
+    enumerate_vectors = invariants._invariant_vectors
+
+    def spy(action, max_degree):
+        for v in enumerate_vectors(action, max_degree):
+            reached.append(sum(v))
+            yield v
+        reached.append(max_degree)
+
+    monkeypatch.setattr(invariants, "_invariant_vectors", spy)
+    with pytest.raises(NonSaturationError) as info:
+        invariant_generators(DiagonalAction(2, (), ((5, (1, 1)),)), 3)
+    assert info.value.witness == (5, 0)
+    assert max(reached) == 5
+    # x^3 y at degree 4 is the witness; degrees 5 and 6 hold invariants too
+    reached.clear()
+    with pytest.raises(NonSaturationError) as info:
+        invariant_generators(DiagonalAction(2, (), ((5, (1, 2)),)), 3)
+    assert info.value.witness == (3, 1)
+    assert max(reached) == 4
+    # a saturated sieve still reads every vector up to twice the bound
+    reached.clear()
+    assert len(invariant_generators(PAIR, 4).generators) == 16
+    assert max(reached) == 8
 
 
 @pytest.mark.xfail(
@@ -493,6 +523,24 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
     assert binomial_relations(empty, 4) == ()
+
+
+def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
+    # 25 to 28 generators at bounds 8 and 9: the packed generator vectors
+    # are wider than 64 bits, and many fibers of one degree emit relations
+    rng = random.Random(20261021)
+    cases = [(triple, 8), (triple, 9)]
+    for size in (25, 27):
+        gens = rng.sample(triple.generators, size)
+        cases.append((MonoidPresentation(12, tuple(gens)), 8))
+    for pres, bound in cases:
+        assert (bound + 1) ** len(pres.generators) > 2**64
+        signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
+        unsigned = binomial_relations(pres, bound)
+        signed = binomial_relations(pres, bound, signs)
+        assert len({sum(pres.expand(u)) for u, _ in unsigned}) < len(unsigned)
+        assert unsigned == closure_relations(pres, bound), (pres, bound)
+        assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
 
 
 def test_generators_with_negative_exponents_are_rejected():
