@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 from .errors import InvolutionError, NonSaturationError, ToolkitError
 
@@ -300,38 +300,32 @@ def _twice_top_degree(generators) -> int:
     return 2 * max((sum(g) for g in generators), default=0)
 
 
-def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
-    """The ``length`` base-``base`` digits of code, most significant first,
-    peeled off the least significant end one divmod at a time."""
-    digits = [0] * length
-    for p in range(length - 1, -1, -1):
-        code, digits[p] = divmod(code, base)
-    return tuple(digits)
-
-
 def binomial_relations(
     pres: MonoidPresentation, degree_bound: int, gen_signs=None
 ) -> tuple:
     """Minimal generating set of binomial relations up to an ambient degree.
 
     The generator monomials up to the bound fall into expansion fibers,
-    keyed by ambient monomial and, with ``gen_signs``, by sign, so monomials
-    of opposite sign lie in different fibers.  In each fiber, members that
-    share a generator are joined; the least member of each component, by
-    (degree, vector), represents it, and the first representative is
-    related to each of the others.  Fibers are visited in grlex order of
-    their ambient monomial, so relations come out by ambient degree.
+    keyed by ambient monomial and, with ``gen_signs`` (one +1 or -1 per
+    generator), by sign.  In each fiber, members that share a generator are
+    joined; the least member of each component, by (degree, vector),
+    represents it, and the first representative is related to each of the
+    others.  Fibers come in grlex order of their ambient monomial, + first.
 
-    Each generator monomial is one tuple of integers: weighted degree,
-    generator count, exponent vector and ambient monomial, both packed base
-    B = max(bound, 0) + 1 with index 0 most significant, support bitmask
-    and sign.  Generators have nonnegative exponents and degree at least 1,
-    so up to the bound every exponent of either kind is a digit below B:
-    both packings are injective and numeric order is lex order, so (count,
-    packed vector) orders members by (degree, vector) and (weighted degree,
-    -packed monomial) orders fibers grlex.  Monomials grow one generator
-    and its sign at a time by integer addition, components are joined on
-    the support masks, and only the representatives are unpacked.
+    Each generator monomial is one integer of w-bit digits, w =
+    max(bound, 1).bit_length(), with these fields from the top down:
+    weighted degree; ambient monomial, each digit complemented to
+    2^w - 1 - e; one sign bit, set for -1; generator count; exponent vector,
+    index 0 most significant; support mask, bit i for generator i.
+    Generators have nonnegative exponents and degree at least 1, so up to
+    the bound every count and exponent of either kind is at most the bound,
+    below 2^w: no field carries into the next.  A monomial takes generator
+    i by one precomputed addition, which on the first pass also sets bit i,
+    and an xor of the sign bit when i has sign -1.  Numeric order is then
+    (degree, ambient monomial lex descending, sign, count, vector): the
+    fibers in output order, each with its members ascending by (degree,
+    vector).  So one sort lays out the fibers in turn, components are joined
+    on the support masks, and the first member to meet one is its least.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
@@ -346,47 +340,53 @@ def binomial_relations(
     every fiber.  No state carries from one fiber to the next.
     """
     k, n = len(pres.generators), pres.ambient_dim
-    base = max(degree_bound, 0) + 1
-    members = [(0, 0, 0, 0, 0, 1)]
+    if gen_signs is not None and [abs(s) for s in gen_signs] != [1] * k:
+        raise ToolkitError("gen_signs must hold one +1 or -1 per generator")
+    w = max(degree_bound, 1).bit_length()
+    count = k + w * k  # the places of the fields, from the bottom up
+    sign, ambient, degree = count + w, count + w + 1, count + w + 1 + w * n
+    full, top = (1 << k) - 1, (1 << w) - 1
+    members = [((1 << w * n) - 1) << ambient]
     for i, g in enumerate(pres.generators):
         # each pass multiplies the previous pass's monomials by g once more
         d = sum(g)
-        cap = degree_bound - d
-        step = base ** (k - 1 - i)
-        bit = 1 << i
-        amb = sum(e * base ** (n - 1 - j) for j, e in enumerate(g))
-        sign = -1 if gen_signs is not None and gen_signs[i] < 0 else 1
-        layer = members
+        limit = (degree_bound - d + 1) << degree
+        amb = sum(e << w * (n - 1 - j) for j, e in enumerate(g))
+        add = (d << degree) - (amb << ambient) + (1 << count) + (1 << count - w * (i + 1))
+        flip = 1 << sign if gen_signs is not None and gen_signs[i] < 0 else 0
+        layer, step = members, add + (1 << i)  # no earlier monomial holds g
         while layer:
-            layer = [
-                (w + d, c + 1, code + step, mask | bit, a + amb, s * sign)
-                for w, c, code, mask, a, s in layer
-                if w <= cap
-            ]
+            layer = [m + step ^ flip for m in layer if m < limit]
             members += layer
-    fibers: dict = {}
-    for m in members:
-        fibers.setdefault(m[4:], []).append(m)
+            step = add
+    members.sort()
 
-    emitting = []
-    for (a, s), group in fibers.items():
-        # the support masks of the components, which are disjoint
-        components = []
-        for m in group:
-            mask = m[3]
-            rest = []
-            for other in components:
-                if other & mask:
-                    mask |= other
+    def unpack(member):
+        vector, mask = [0] * k, member & full
+        while mask:
+            i = mask.bit_length() - 1
+            vector[i] = member >> count - w * (i + 1) & top
+            mask ^= 1 << i
+        return tuple(vector)
+
+    relations = []
+    for _, fiber in groupby(members, sign.__rrshift__):
+        fiber = list(fiber)
+        components = []  # the disjoint support masks of the components
+        for m in fiber:
+            mask, rest = m & full, []
+            for c in components:
+                if c & mask:
+                    mask |= c
                 else:
-                    rest.append(other)
+                    rest.append(c)
             rest.append(mask)
             components = rest
         if len(components) > 1:
-            leasts = sorted(min(m[1:3] for m in group if m[3] & c) for c in components)
-            reps = [_digits(code, base, k) for _, code in leasts]
-            emitting.append((group[0][0], -a, -s, reps))
-    return tuple((reps[0], other) for *_, reps in sorted(emitting) for other in reps[1:])
+            leasts = sorted(next(m for m in fiber if m & c) for c in components)
+            first, *others = map(unpack, leasts)
+            relations += [(first, other) for other in others]
+    return tuple(relations)
 
 
 def toric_relations(
