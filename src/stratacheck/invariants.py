@@ -321,8 +321,8 @@ def binomial_relations(
     the bound every count and exponent of either kind is at most the bound,
     below 2^w: no field carries into the next.  A monomial takes generator
     i by one precomputed addition, which on the first pass also sets bit i,
-    and an xor of the sign bit when i has sign -1.  Numeric order is then
-    (degree, ambient monomial lex descending, sign, count, vector): the
+    and an xor of the sign bit when i has sign -1.  Numeric order is
+    (weighted degree, ambient lex descending, sign, count, vector): the
     fibers in output order, each with its members ascending by (degree,
     vector).  So one sort lays out the fibers in turn, components are joined
     on the support masks, and the first member to meet one is its least.

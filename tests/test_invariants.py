@@ -511,11 +511,15 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
 
 
 def test_packed_members_match_the_closure_at_the_packing_boundaries():
-    # x, y and xy: x^bound packs to the digit B - 1 of base B = bound + 1,
-    # in the generator exponents and in the ambient monomial alike
+    # digits are w = max(bound, 1).bit_length() bits wide: at bounds 1, 3,
+    # 7 and 15 the power x^bound fills a digit with its top value 2^w - 1,
+    # as generator count, exponent and ambient exponent alike, and at 2, 4,
+    # 8 and 16 the width grows by one bit
     corner = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
+    line = MonoidPresentation(1, ((1,), (2,), (3,)))
     empty = MonoidPresentation(3, ())
-    cases = [(corner, bound) for bound in range(-2, 13)] + [(empty, 4), (empty, 0), (empty, -1)]
+    cases = [(pres, bound) for pres in (corner, line) for bound in range(-2, 18)]
+    cases += [(empty, 4), (empty, 0), (empty, -1)]
     for pres, bound in cases:
         sign_choices = [None] + list(product((1, -1), repeat=len(pres.generators)))
         for signs in sign_choices:
@@ -523,19 +527,32 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
             assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
+    assert binomial_relations(line, 15) == (((0, 1, 0), (2, 0, 0)), ((0, 0, 1), (1, 1, 0)))
     assert binomial_relations(empty, 4) == ()
 
 
+def test_malformed_generator_signs_are_rejected():
+    pres = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
+    for signs in ((1,), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5)):
+        with pytest.raises(ToolkitError, match="one \\+1 or -1 per generator"):
+            binomial_relations(pres, 4, signs)
+    # xy and x * y have one sign when an even count of the three is -1;
+    # their squares always do
+    assert binomial_relations(pres, 4, [1, -1, -1]) == (((0, 0, 1), (1, 1, 0)),)
+    assert binomial_relations(pres, 4, (1, -1, 1)) == (((0, 0, 2), (2, 2, 0)),)
+
+
 def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
-    # 25 to 28 generators at bounds 8 and 9: the packed generator vectors
-    # are wider than 64 bits, and many fibers of one degree emit relations
+    # 25 to 28 generators at bounds 8 and 9: the packed exponent vectors
+    # alone are wider than 64 bits, and many fibers of one degree emit
+    # relations
     rng = random.Random(20261021)
     cases = [(triple, 8), (triple, 9)]
     for size in (25, 27):
         gens = rng.sample(triple.generators, size)
         cases.append((MonoidPresentation(12, tuple(gens)), 8))
     for pres, bound in cases:
-        assert (bound + 1) ** len(pres.generators) > 2**64
+        assert bound.bit_length() * len(pres.generators) > 64
         signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
         unsigned = binomial_relations(pres, bound)
         signed = binomial_relations(pres, bound, signs)
