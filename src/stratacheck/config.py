@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import ledger as ledger_mod
 from .errors import ConfigError, ToolkitError
 from .invariants import CoordinateInvolution, DiagonalAction
-from .ledger import Ledger, StratumEntry
+from .ledger import Ledger, StratumEntry, paper_ledger
 from .singularities import CyclicDiagonalElement, FiniteDiagonalGroup
 from .surfaces import ClassBasis
 
@@ -76,10 +75,7 @@ def builtin_config() -> ConfigDocument:
             ("f1", "f2", "diag"), ((0, 1, 1), (1, 0, 1), (1, 1, -6))
         ),
     }
-    ledgers = {
-        "cubic": ledger_mod.cubic_paper_ledger(),
-        "degree2": ledger_mod.degree2_paper_ledger(),
-    }
+    ledgers = {name: paper_ledger(name) for name in ("cubic", "degree2")}
     return ConfigDocument("builtin", actions, involutions, groups, bases, ledgers)
 
 
@@ -135,7 +131,7 @@ def _parse_involution(name: str, raw: dict) -> CoordinateInvolution:
     where = f"involutions.{name}"
     image = _int_list(_need(raw, "permutation", list, where), where)
     signs = raw.get("signs")
-    return CoordinateInvolution(image, () if signs is None else _int_list(signs, where))
+    return CoordinateInvolution(image, None if signs is None else _int_list(signs, where))
 
 
 def _parse_group(name: str, raw: dict) -> FiniteDiagonalGroup:
@@ -173,7 +169,6 @@ def _parse_basis(name: str, raw: dict) -> ClassBasis:
 
 def _parse_ledger(name: str, raw: dict) -> Ledger:
     where = f"ledgers.{name}"
-    mode = raw.get("mode", "paper")
     entries = []
     for i, row in enumerate(_need(raw, "entries", list, where)):
         if not isinstance(row, dict):
@@ -200,11 +195,7 @@ def _parse_ledger(name: str, raw: dict) -> Ledger:
             )
         except ToolkitError as exc:
             raise ConfigError(f"{rwhere}: {exc}") from exc
-    required = {
-        "cubic": ledger_mod.CUBIC_LABELS,
-        "degree2": ledger_mod.DEGREE2_LABELS,
-    }.get(name, tuple(e.label for e in entries))
-    return Ledger(name, mode, tuple(entries), required)
+    return Ledger(name, tuple(entries))
 
 
 _SECTION_PARSERS = {

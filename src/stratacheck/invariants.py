@@ -114,11 +114,11 @@ class CoordinateInvolution:
     """Order-two coordinate substitution x_i -> sign_i * x_image[i]."""
 
     image: tuple[int, ...]
-    signs: tuple[int, ...] = ()
+    signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         image = tuple(self.image)
-        signs = tuple(self.signs) if self.signs else (1,) * len(image)
+        signs = (1,) * len(image) if self.signs is None else tuple(self.signs)
         object.__setattr__(self, "image", image)
         object.__setattr__(self, "signs", signs)
         n = len(image)
@@ -222,11 +222,6 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
             found.clear()
             rec(0, degree)
             yield from found
-
-
-def invariant_monomials(action: DiagonalAction, max_degree: int) -> tuple:
-    """All invariant monomials of total degree <= max_degree, grlex sorted."""
-    return tuple(_invariant_vectors(action, max_degree))
 
 
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:

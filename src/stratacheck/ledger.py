@@ -25,38 +25,38 @@ from .surfaces import ClassBasis, adjunction_genus, bidegree_class, divisor, int
 
 PROVENANCES = ("paper", "derived", "trivial")
 
-# label: (dimension, description, chi_base, chi_fiber) of each stratum; only
-# the zero-dimensional strata k, n, o, s contribute, the others have fiber chi 0
-_CUBIC_STRATA = {
-    "a": (2, "one invariant node", None, 0),
-    "b": (2, "two nodes swapped by the involution", None, 0),
-    "c": (1, "two invariant nodes", None, 0),
-    "d": (1, "one invariant cusp", None, 0),
-    "e": (1, "three nodes, one invariant", None, 0),
-    "f": (1, "tacnode", None, 0),
-    "g": (1, "two cusps swapped by the involution", None, 0),
-    "h": (1, "two components meeting in four points", None, 0),
-    "i": (0, "cusp and node", None, 0),
-    "j": (0, "tacnode from quadruple contact", None, 0),
-    "k": (0, "three invariant nodes", 120, 2),
-    "l": (0, "two swapped cusps and an invariant node", None, 0),
-    "m": (0, "A5 singularity", None, 0),
-    "n": (0, "two components with an extra node", 378, 3),
-    "o": (0, "two invariant and two swapped nodes", 864, 1),
-    "p": (0, "tacnode and node", None, 0),
-    "q": (0, "D4 singularity", None, 0),
-    "r": (0, "two swapped nodes and an invariant cusp", None, 0),
-    "s": (0, "three components meeting pairwise twice", 45, 1),
+# ledger name -> label -> (dimension, description, chi_base, chi_fiber) of
+# each stratum; in the cubic ledger only the zero-dimensional strata k, n, o,
+# s contribute, the others have fiber chi 0
+_STRATA = {
+    "cubic": {
+        "a": (2, "one invariant node", None, 0),
+        "b": (2, "two nodes swapped by the involution", None, 0),
+        "c": (1, "two invariant nodes", None, 0),
+        "d": (1, "one invariant cusp", None, 0),
+        "e": (1, "three nodes, one invariant", None, 0),
+        "f": (1, "tacnode", None, 0),
+        "g": (1, "two cusps swapped by the involution", None, 0),
+        "h": (1, "two components meeting in four points", None, 0),
+        "i": (0, "cusp and node", None, 0),
+        "j": (0, "tacnode from quadruple contact", None, 0),
+        "k": (0, "three invariant nodes", 120, 2),
+        "l": (0, "two swapped cusps and an invariant node", None, 0),
+        "m": (0, "A5 singularity", None, 0),
+        "n": (0, "two components with an extra node", 378, 3),
+        "o": (0, "two invariant and two swapped nodes", 864, 1),
+        "p": (0, "tacnode and node", None, 0),
+        "q": (0, "D4 singularity", None, 0),
+        "r": (0, "two swapped nodes and an invariant cusp", None, 0),
+        "s": (0, "three components meeting pairwise twice", 45, 1),
+    },
+    "degree2": {
+        "bitangent": (0, "members doubly tangent to the branch quartic", 28, 2),
+        "nodal_tangent": (0, "nodal members tangent to the branch quartic", 128, 1),
+        "reducible": (0, "reducible members, one per bitangent of the quartic", 28, 1),
+    },
 }
-CUBIC_LABELS = tuple(_CUBIC_STRATA)
-
-# label: (chi_base, chi_fiber, description) of each zero-dimensional stratum
-_DEGREE2_STRATA = {
-    "bitangent": (28, 2, "members doubly tangent to the branch quartic"),
-    "nodal_tangent": (128, 1, "nodal members tangent to the branch quartic"),
-    "reducible": (28, 1, "reducible members, one per bitangent of the quartic"),
-}
-DEGREE2_LABELS = tuple(_DEGREE2_STRATA)
+CUBIC_LABELS = tuple(_STRATA["cubic"])
 
 ZERO_FIBER_NOTE = "positive-dimensional fiber strata only; fiber chi is 0"
 
@@ -91,21 +91,19 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class Ledger:
+    """A named set of rows; a bundled name fixes the labels, others take their own."""
+
     name: str
-    mode: str
     entries: tuple[StratumEntry, ...]
-    required_labels: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "required_labels", tuple(self.required_labels))
-        if self.mode not in ("paper", "derived"):
-            raise LedgerError(f"ledger mode must be 'paper' or 'derived', got {self.mode!r}")
         labels = [e.label for e in self.entries]
         if len(set(labels)) != len(labels):
             raise LedgerError("duplicate ledger labels")
-        missing = set(self.required_labels) - set(labels)
-        extra = set(labels) - set(self.required_labels)
+        required = set(_STRATA.get(self.name, labels))
+        missing = required - set(labels)
+        extra = set(labels) - required
         if missing or extra:
             raise LedgerError(
                 f"ledger {self.name!r} incomplete: missing {sorted(missing)}, "
@@ -130,25 +128,19 @@ def ledger_rows(ledger: Ledger) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# the six-dimensional ledger
+# the bundled ledgers
 
 
-def cubic_paper_ledger() -> Ledger:
-    """Reference rows: only the zero-dimensional strata k, n, o, s contribute."""
+def paper_ledger(name: str) -> Ledger:
+    """The reference rows of the bundled ledger ``name``, as recorded in _STRATA."""
+    if name not in _STRATA:
+        raise LedgerError(f"no bundled ledger named {name!r}")
     entries = tuple(
         StratumEntry(label, dimension, chi_base, chi_fiber, "paper",
                      "" if chi_fiber else ZERO_FIBER_NOTE, description)
-        for label, (dimension, description, chi_base, chi_fiber) in _CUBIC_STRATA.items()
+        for label, (dimension, description, chi_base, chi_fiber) in _STRATA[name].items()
     )
-    return Ledger("cubic", "paper", entries, CUBIC_LABELS)
-
-
-def degree2_paper_ledger() -> Ledger:
-    entries = tuple(
-        StratumEntry(label, 0, chi_base, chi_fiber, "paper", description=description)
-        for label, (chi_base, chi_fiber, description) in _DEGREE2_STRATA.items()
-    )
-    return Ledger("degree2", "paper", entries, DEGREE2_LABELS)
+    return Ledger(name, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:
         derive_entry(e, basis) if e.label in DERIVED_RECIPES else e
         for e in reference.entries
     )
-    return replace(reference, mode="derived", entries=entries)
+    return replace(reference, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,9 @@ from stratacheck.invariants import (
 )
 from stratacheck.ledger import (
     derived_ledger,
-    cubic_paper_ledger,
-    degree2_paper_ledger,
     discrepancy_report,
     discriminant_degree_sum,
+    paper_ledger,
     total_chi,
 )
 from stratacheck.lines27 import build_configuration, dual_stratification_counts
@@ -244,8 +243,8 @@ def test_criterion_4_enumerative_suite():
 
 def test_criterion_5_ledger_suite():
     with criterion(5, "stratification ledger suite"):
-        assert total_chi(cubic_paper_ledger()) == 2283
-        assert total_chi(degree2_paper_ledger()) == 212
+        assert total_chi(paper_ledger("cubic")) == 2283
+        assert total_chi(paper_ledger("degree2")) == 212
         assert discriminant_degree_sum() == 30
 
 
@@ -258,7 +257,7 @@ def test_criterion_6_discrepancy_detection():
         assert flex_count(6, 6, 0) == 36
         assert pluecker_dual_degree(6, 6, 0) == 18
 
-        paper = cubic_paper_ledger()
+        paper = paper_ledger("cubic")
         derived = derived_ledger(
             paper, builtin_config().require("bases", "curve-square")
         )
@@ -267,7 +266,7 @@ def test_criterion_6_discrepancy_detection():
         assert found[0].label == "o"
         assert (found[0].paper_value, found[0].derived_value) == (864, 936)
         assert total_chi(derived) == 2355
-        assert total_chi(cubic_paper_ledger()) == 2283
+        assert total_chi(paper_ledger("cubic")) == 2283
 
         # the solver is right where the reference data is self-consistent
         assert pluecker_solve_bf(4, 12, 3) == (28, 24)

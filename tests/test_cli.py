@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -118,6 +120,42 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     )
     assert main(["euler", "--config", str(incomplete)]) == 3
     capsys.readouterr()
+
+
+def test_empty_signs_list_is_a_config_error(tmp_path, capsys):
+    # an empty list is not "no signs": it gives no sign for each of 8 variables
+    path = tmp_path / "config.json"
+    swap = {"permutation": [5, 4, 7, 6, 1, 0, 3, 2], "signs": []}
+    path.write_text(json.dumps({"involutions": {"swap-pair": swap}}))
+    assert main(["invariants", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: involutions.swap-pair: signs must be +1 or -1, one per variable\n"
+    )
+    # null signs, like absent ones, are all +1
+    swap["signs"] = None
+    involution = parse_config({"involutions": {"s": swap}}, "t").involutions["s"]
+    assert involution.signs == (1,) * 8
+
+
+@pytest.mark.parametrize("mode", ["derived", 7])
+def test_ledger_mode_key_is_ignored(mode, tmp_path):
+    builtin = {r.name: r for r in run_section("verify-all", builtin_config())}
+    cubic = {"mode": mode, "entries": ledger_rows(builtin_config().require("ledgers", "cubic"))}
+    assert _run_with(tmp_path, {"ledgers": {"cubic": cubic}}, "verify-all") == builtin
+
+
+def test_importing_invariants_loads_no_other_layer():
+    src = Path(invariants.__file__).parents[1]
+    code = (
+        "import sys\n"
+        "from stratacheck import invariants\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'stratacheck'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "['stratacheck', 'stratacheck.errors', 'stratacheck.invariants']\n"
 
 
 @pytest.mark.parametrize("field", ["torus_weights", "finite_factors"])

@@ -12,7 +12,6 @@ from stratacheck.invariants import (
     binomial_relations,
     fixed_locus_presentation,
     invariant_generators,
-    invariant_monomials,
     is_invariant,
     match_generators,
     presentations_isomorphic,
@@ -219,7 +218,7 @@ def ambient_sieve(action, degree_bound):
     """The grlex sieve run on every ambient monomial instead of on class
     vectors: the same generators, witness and message, without the quotient."""
     generators = []
-    for m in invariant_monomials(action, 2 * degree_bound):
+    for m in invariants._invariant_vectors(action, 2 * degree_bound):
         if sum(m) == 0 or any(all(x <= y for x, y in zip(g, m)) for g in generators):
             continue
         if sum(m) > degree_bound:
@@ -725,13 +724,13 @@ def test_wrong_bijection_returns_counterexample():
 
 
 def test_grlex_order_is_degree_then_lex():
-    assert invariant_monomials(DiagonalAction(2), 2) == (
+    assert tuple(invariants._invariant_vectors(DiagonalAction(2), 2)) == (
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     )
 
 
 def test_grlex_key_total_degree_first():
-    ms = invariant_monomials(DiagonalAction(2), 4)
+    ms = list(invariants._invariant_vectors(DiagonalAction(2), 4))
     assert ms.index((0, 3)) < ms.index((4, 0))
     assert ms.index((2, 0)) < ms.index((1, 1))
 
@@ -752,7 +751,7 @@ def random_enumeration_action(rng):
 
 
 def test_invariant_monomials_sorted_and_complete():
-    ms = invariant_monomials(NEG4, 4)
+    ms = invariants._invariant_vectors(NEG4, 4)
     brute = sorted(
         (m for m in all_monomials(4, 4) if oracle_is_invariant(NEG4, m)),
         key=grlex_order,
@@ -760,7 +759,7 @@ def test_invariant_monomials_sorted_and_complete():
     assert list(ms) == brute
     # a negative bound admits no monomial, with or without torus rows
     for action in (DiagonalAction(2), DiagonalAction(2, ((1, -1),)), NEG4):
-        assert invariant_monomials(action, -1) == ()
+        assert list(invariants._invariant_vectors(action, -1)) == []
     rng = random.Random(20261020)
     row_signs = set()
     for _ in range(300):
@@ -777,7 +776,7 @@ def test_invariant_monomials_sorted_and_complete():
                 ),
                 key=grlex_order,
             )
-            assert list(invariant_monomials(action, bound)) == brute, (action, bound)
+            assert list(invariants._invariant_vectors(action, bound)) == brute, (action, bound)
     assert row_signs == {-1, 0, 1}
 
 

@@ -6,16 +6,14 @@ import pytest
 from stratacheck.config import builtin_config
 from stratacheck.errors import LedgerError
 from stratacheck.ledger import (
-    CUBIC_LABELS,
     Ledger,
     StratumEntry,
-    cubic_paper_ledger,
-    degree2_paper_ledger,
     derive_entry,
     derived_ledger,
     discrepancy_report,
     discriminant_degree_sum,
     fiber_point_checks,
+    paper_ledger,
     total_chi,
 )
 
@@ -23,11 +21,11 @@ CURVE_SQUARE = builtin_config().require("bases", "curve-square")
 
 
 def _derive(label):
-    return derive_entry(cubic_paper_ledger().entry(label), CURVE_SQUARE)
+    return derive_entry(paper_ledger("cubic").entry(label), CURVE_SQUARE)
 
 
 def test_cubic_paper_total():
-    ledger = cubic_paper_ledger()
+    ledger = paper_ledger("cubic")
     assert total_chi(ledger) == 2283
     assert len(ledger.entries) == 19
     contributing = [e.label for e in ledger.entries if e.chi_fiber != 0]
@@ -35,7 +33,7 @@ def test_cubic_paper_total():
 
 
 def test_cubic_dimensions_follow_the_stratification():
-    ledger = cubic_paper_ledger()
+    ledger = paper_ledger("cubic")
     dims = {e.label: e.dimension for e in ledger.entries}
     assert dims["a"] == dims["b"] == 2
     assert all(dims[l] == 1 for l in "cdefgh")
@@ -43,7 +41,7 @@ def test_cubic_dimensions_follow_the_stratification():
 
 
 def test_degree2_paper_total():
-    assert total_chi(degree2_paper_ledger()) == 212
+    assert total_chi(paper_ledger("degree2")) == 212
 
 
 def test_derived_entries():
@@ -62,13 +60,13 @@ def test_underivable_label_strictness():
 
 
 def test_derived_ledger_totals():
-    derived = derived_ledger(cubic_paper_ledger(), CURVE_SQUARE)
+    derived = derived_ledger(paper_ledger("cubic"), CURVE_SQUARE)
     assert total_chi(derived) == 2355
     assert derived.entry("o").chi_base == 936
 
 
 def test_single_discrepancy_between_paper_and_derived():
-    paper = cubic_paper_ledger()
+    paper = paper_ledger("cubic")
     found = discrepancy_report(paper, derived_ledger(paper, CURVE_SQUARE))
     assert len(found) == 1
     d = found[0]
@@ -79,41 +77,41 @@ def test_single_discrepancy_between_paper_and_derived():
 
 
 def test_identical_ledgers_have_no_discrepancies():
-    assert discrepancy_report(cubic_paper_ledger(), cubic_paper_ledger()) == ()
+    assert discrepancy_report(paper_ledger("cubic"), paper_ledger("cubic")) == ()
 
 
 def test_degree2_ledgers_agree():
-    derived = derived_ledger(degree2_paper_ledger(), CURVE_SQUARE)
-    assert discrepancy_report(degree2_paper_ledger(), derived) == ()
+    derived = derived_ledger(paper_ledger("degree2"), CURVE_SQUARE)
+    assert discrepancy_report(paper_ledger("degree2"), derived) == ()
     assert derived.entry("bitangent").provenance == "derived"
     assert derived.entry("reducible").provenance == "derived"
     assert derived.entry("nodal_tangent").provenance == "paper"
 
 
 def test_incomplete_ledger_rejected():
-    rows = cubic_paper_ledger().entries[:-1]
+    rows = paper_ledger("cubic").entries[:-1]
     with pytest.raises(LedgerError):
-        Ledger("cubic", "paper", rows, CUBIC_LABELS)
+        Ledger("cubic", rows)
 
 
 def test_duplicate_labels_rejected():
-    rows = cubic_paper_ledger().entries
+    rows = paper_ledger("cubic").entries
     with pytest.raises(LedgerError):
-        Ledger("cubic", "paper", rows + (rows[0],), CUBIC_LABELS)
+        Ledger("cubic", rows + (rows[0],))
 
 
 def test_unknown_base_with_nonzero_fiber_rejected():
-    ledger = cubic_paper_ledger()
+    ledger = paper_ledger("cubic")
     broken = tuple(
         replace(e, chi_fiber=1) if e.label == "a" else e for e in ledger.entries
     )
     with pytest.raises(LedgerError):
-        total_chi(Ledger("cubic", "paper", broken, CUBIC_LABELS))
+        total_chi(Ledger("cubic", broken))
 
 
 def test_total_chi_linear_in_fiber_values():
     rng = random.Random(99)
-    base = cubic_paper_ledger()
+    base = paper_ledger("cubic")
     for _ in range(20):
         fibers1 = {e.label: rng.randint(-4, 4) for e in base.entries}
         fibers2 = {e.label: rng.randint(-4, 4) for e in base.entries}
@@ -124,7 +122,7 @@ def test_total_chi_linear_in_fiber_values():
                 replace(e, chi_base=bases[e.label], chi_fiber=fibers[e.label])
                 for e in base.entries
             )
-            return Ledger("cubic", "paper", rows, CUBIC_LABELS)
+            return Ledger("cubic", rows)
 
         summed = {
             label: fibers1[label] + fibers2[label] for label in fibers1
@@ -148,7 +146,7 @@ def test_discriminant_degree_sum():
 
 def test_mismatched_label_sets_rejected():
     with pytest.raises(LedgerError):
-        discrepancy_report(cubic_paper_ledger(), degree2_paper_ledger())
+        discrepancy_report(paper_ledger("cubic"), paper_ledger("degree2"))
 
 
 def test_stratum_entry_validation():
@@ -156,3 +154,13 @@ def test_stratum_entry_validation():
         StratumEntry("x", 3, 1, 1, "paper")
     with pytest.raises(LedgerError):
         StratumEntry("x", 0, 1, 1, "hearsay")
+
+
+def test_bundled_names_fix_the_labels():
+    rows = tuple(e for e in paper_ledger("degree2").entries if e.label != "reducible")
+    with pytest.raises(LedgerError, match="missing \\['reducible'\\]"):
+        Ledger("degree2", rows)
+    # any other name takes the labels of its own rows
+    assert [e.label for e in Ledger("quartic", rows).entries] == ["bitangent", "nodal_tangent"]
+    with pytest.raises(LedgerError, match="quartic"):
+        paper_ledger("quartic")
