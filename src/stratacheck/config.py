@@ -181,6 +181,8 @@ def _parse_ledger(name: str, raw: dict) -> Ledger:
             raise ConfigError(f"{rwhere}: chi_base must be an integer or null")
         chi_fiber = _need(row, "chi_fiber", int, rwhere)
         provenance = row.get("provenance", "paper")
+        recipe = _need(row, "recipe", str, rwhere) if "recipe" in row else ""
+        description = _need(row, "description", str, rwhere) if "description" in row else ""
         try:
             entries.append(
                 StratumEntry(
@@ -189,8 +191,8 @@ def _parse_ledger(name: str, raw: dict) -> Ledger:
                     chi_base,
                     chi_fiber,
                     provenance,
-                    row.get("recipe", ""),
-                    row.get("description", ""),
+                    recipe,
+                    description,
                 )
             )
         except ToolkitError as exc:
@@ -234,7 +236,7 @@ def parse_config(raw: dict, label: str) -> ConfigDocument:
 
 def load_config(path) -> ConfigDocument:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:

@@ -8,7 +8,6 @@ fractional result raises instead of rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -101,60 +100,39 @@ def moduli_dimension_check(n: int, degrees, group_dim: int) -> int:
 # polystable degree solving
 
 
-@dataclass(frozen=True)
-class PolystableSpec:
-    """Curve components with pairwise intersections and a total Euler characteristic.
+def solve_polystable_degrees(genera, intersections, total_chi: int) -> tuple[int, ...]:
+    """Unique integer degrees with equal slopes and the prescribed total chi.
 
     ``intersections`` is the symmetric off-diagonal table C_i . C_j (diagonal
     zero); the self-intersection enters through 2g_i - 2 as usual for curves
-    on a symplectic surface.
-    """
-
-    genera: tuple[int, ...]
-    intersections: tuple[tuple[int, ...], ...]
-    total_chi: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "genera", tuple(self.genera))
-        object.__setattr__(
-            self, "intersections", tuple(tuple(r) for r in self.intersections)
-        )
-        k = len(self.genera)
-        if len(self.intersections) != k or any(len(r) != k for r in self.intersections):
-            raise ToolkitError("intersection table shape does not match components")
-        for i in range(k):
-            if self.intersections[i][i] != 0:
-                raise ToolkitError("intersection table diagonal must be zero")
-            for j in range(k):
-                if self.intersections[i][j] != self.intersections[j][i]:
-                    raise ToolkitError("intersection table must be symmetric")
-
-    def polarization_degree(self, i: int) -> int:
-        """C_i . C = (2g_i - 2) + sum of the off-diagonal intersections."""
-        return 2 * self.genera[i] - 2 + sum(self.intersections[i])
-
-
-def solve_polystable_degrees(spec: PolystableSpec) -> tuple[int, ...]:
-    """Unique integer degrees with equal slopes and the prescribed total chi.
-
+    on a symplectic surface, so C_i . C = (2g_i - 2) + sum_j C_i . C_j.
     Slope equality makes (1 - g_i + d_i) proportional to C_i . C, and the
     total chi fixes the constant, so d_i = mu * (C_i . C) - 1 + g_i with
     mu = total_chi / sum(C_i . C).  Non-integral degrees are an error.
     """
-    denominators = [spec.polarization_degree(i) for i in range(len(spec.genera))]
+    k = len(genera)
+    if len(intersections) != k or any(len(r) != k for r in intersections):
+        raise ToolkitError("intersection table shape does not match components")
+    for i in range(k):
+        if intersections[i][i] != 0:
+            raise ToolkitError("intersection table diagonal must be zero")
+        for j in range(k):
+            if intersections[i][j] != intersections[j][i]:
+                raise ToolkitError("intersection table must be symmetric")
+    denominators = [2 * g - 2 + sum(row) for g, row in zip(genera, intersections)]
     if any(n <= 0 for n in denominators):
         raise ToolkitError("every slope denominator C_i . C must be positive")
-    mu = Fraction(spec.total_chi, sum(denominators))
+    mu = Fraction(total_chi, sum(denominators))
     degrees = []
-    for g, n in zip(spec.genera, denominators):
+    for g, n in zip(genera, denominators):
         d = mu * n - 1 + g
         if d.denominator != 1:
             raise InconsistentInputError(
                 f"no integer degree solution: component needs d = {d}"
             )
         degrees.append(int(d))
-    chis = [1 - g + d for g, d in zip(spec.genera, degrees)]
-    assert sum(chis) == spec.total_chi
+    chis = [1 - g + d for g, d in zip(genera, degrees)]
+    assert sum(chis) == total_chi
     assert len({Fraction(c, n) for c, n in zip(chis, denominators)}) == 1
     return tuple(degrees)
 
@@ -163,36 +141,22 @@ def solve_polystable_degrees(spec: PolystableSpec) -> tuple[int, ...]:
 # fibration Euler characteristics
 
 
-def fibration_euler(strata, smooth_fiber_chi: int = 0, base_chi: int = 2) -> int:
-    """Total chi of a fibration from point strata (count, fiber chi) on the base.
+def fibration_euler(strata) -> int:
+    """Total chi of a fibration over P^1 whose smooth fibers have chi 0.
 
-    The smooth locus of the base contributes (base_chi - total point count)
-    times the smooth fiber's chi; each listed stratum contributes count times
+    Only the point strata (count, fiber chi) contribute, each count times
     its fiber chi.
     """
-    points = sum(count for count, _ in strata)
-    return (base_chi - points) * smooth_fiber_chi + sum(
-        count * chi for count, chi in strata
-    )
+    return sum(count * chi for count, chi in strata)
 
 
-def solve_unknown_count(
-    total_chi: int,
-    known_strata,
-    unknown_fiber_chi: int,
-    smooth_fiber_chi: int = 0,
-    base_chi: int = 2,
-) -> int:
+def solve_unknown_count(total_chi: int, known_strata, unknown_fiber_chi: int) -> int:
     """Number of fibers of a given chi forced by the total Euler characteristic."""
-    if unknown_fiber_chi == smooth_fiber_chi:
+    if unknown_fiber_chi == 0:
         raise ToolkitError(
             "unknown fiber chi equals the smooth fiber chi; count is undetermined"
         )
-    # each unknown fiber stands where a smooth fiber would
-    count = Fraction(
-        total_chi - fibration_euler(known_strata, smooth_fiber_chi, base_chi),
-        unknown_fiber_chi - smooth_fiber_chi,
-    )
+    count = Fraction(total_chi - fibration_euler(known_strata), unknown_fiber_chi)
     if count.denominator != 1 or count < 0:
         raise InconsistentInputError(f"no admissible integer fiber count: {count}")
     return int(count)

@@ -199,30 +199,22 @@ DERIVED_RECIPES = {
 }
 
 
-def derive_entry(row: StratumEntry, basis: ClassBasis) -> StratumEntry:
-    """Recompute the base chi of a row through the other modules.
-
-    Only rows labeled in DERIVED_RECIPES can be derived; others raise.  The
-    fiber chi stays reference data (its finite ingredients are verified by
-    fiber_point_checks).
-    """
-    if row.label not in DERIVED_RECIPES:
-        raise LedgerError(f"stratum {row.label!r} has no derivation recipe")
-    chi_base, recipe = DERIVED_RECIPES[row.label](basis)
-    return replace(row, chi_base=chi_base, provenance="derived", recipe=recipe)
-
-
 def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:
     """The reference ledger with every row that has a recipe recomputed.
 
-    Rows without a recipe are copied unchanged.  ``basis`` is the
-    curve-square pairing the route to ``o`` runs through.
+    A recipe in DERIVED_RECIPES recomputes the base chi through the other
+    modules; the fiber chi stays reference data (its finite ingredients are
+    verified by fiber_point_checks).  Rows without a recipe are copied
+    unchanged.  ``basis`` is the curve-square pairing the route to ``o``
+    runs through.
     """
-    entries = tuple(
-        derive_entry(e, basis) if e.label in DERIVED_RECIPES else e
-        for e in reference.entries
-    )
-    return replace(reference, entries=entries)
+    entries = []
+    for e in reference.entries:
+        if e.label in DERIVED_RECIPES:
+            chi_base, recipe = DERIVED_RECIPES[e.label](basis)
+            e = replace(e, chi_base=chi_base, provenance="derived", recipe=recipe)
+        entries.append(e)
+    return replace(reference, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

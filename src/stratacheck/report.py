@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
 ERROR = "error"
-
-_STATUS_TAGS = {PASS: "PASS", FAIL: "FAIL", DISCREPANCY: "DISCREPANCY", ERROR: "ERROR"}
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class VerificationReport:
 
 
 def _plain(value):
-    """Canonical JSON-safe form: tuples to lists, rationals to strings."""
+    """Canonical JSON-safe form: tuples to lists, other non-JSON values to str()."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -65,8 +62,6 @@ def _plain(value):
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=str)
         return [_plain(v) for v in items]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (int, str, bool)) or value is None:
         return value
     return str(value)
@@ -85,13 +80,12 @@ def render_text(report: VerificationReport) -> str:
         "",
     ]
     for record in report.checks:
-        tag = _STATUS_TAGS[record.status]
         expected, computed = format_value(record.expected), format_value(record.computed)
         if record.status == DISCREPANCY:
             body = f"reference {expected} vs derived {computed}"
         else:
             body = f"expected {expected} computed {computed}"
-        line = f"[{tag}] {record.name} :: {body} ({record.provenance})"
+        line = f"[{record.status.upper()}] {record.name} :: {body} ({record.provenance})"
         if record.note:
             line += f" :: {record.note}"
         lines.append(line)

@@ -320,13 +320,12 @@ def _battery(config: ConfigDocument) -> list[Check]:
         Check("pluecker.polystable.two-components",
               {"genera": (0, 1), "intersection": 4, "total_chi": -3},
               (-2, -2), "paper",
-              lambda r: curves.solve_polystable_degrees(
-                  curves.PolystableSpec((0, 1), ((0, 4), (4, 0)), -3))),
+              lambda r: curves.solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -3)),
         Check("pluecker.polystable.three-components",
               {"genera": (0, 0, 0), "pairwise_intersection": 2, "total_chi": -3},
               (-2, -2, -2), "paper",
               lambda r: curves.solve_polystable_degrees(
-                  curves.PolystableSpec((0, 0, 0), ((0, 2, 2), (2, 0, 2), (2, 2, 0)), -3))),
+                  (0, 0, 0), ((0, 2, 2), (2, 0, 2), (2, 2, 0)), -3)),
         # branched covers
         _formula("cover.sextic-pencil-branch", {"g_source": 4, "g_target": 0, "degree": 6},
                  18, "paper", curves.riemann_hurwitz_branch),
@@ -389,7 +388,7 @@ def _battery(config: ConfigDocument) -> list[Check]:
     ]
 
     def derived_case(r, label):
-        return ledger.derive_entry(cubic.entry(label), r.curve_square)
+        return ledger.DERIVED_RECIPES[label](r.curve_square)
 
     def discrepancy_note(r, label):
         derived = ledger.derived_ledger(cubic, r.curve_square)
@@ -406,8 +405,8 @@ def _battery(config: ConfigDocument) -> list[Check]:
         rows.append(
             Check(f"euler.derived.case-{label}", {"ledger": "cubic", "label": label},
                   cubic.entry(label).chi_base, "derived",
-                  lambda r, label=label: derived_case(r, label).chi_base,
-                  note=lambda r, label=label: derived_case(r, label).recipe,
+                  lambda r, label=label: derived_case(r, label)[0],
+                  note=lambda r, label=label: derived_case(r, label)[1],
                   derived_only=True,
                   discrepancy_note=(lambda r, label=label: discrepancy_note(r, label))
                   if label in EXPECTED_DISCREPANCIES else None)

@@ -17,7 +17,6 @@ from stratacheck.curves import (
     pgl_dim,
     pluecker_dual_degree,
     pluecker_solve_bf,
-    PolystableSpec,
     riemann_hurwitz_branch,
     solve_polystable_degrees,
     solve_unknown_count,
@@ -231,11 +230,9 @@ def test_criterion_4_enumerative_suite():
         assert counts.dual_line_count * 5 == 45 * 3 == 135
 
         assert moduli_dimension_check(3, (2, 3), pgl_dim(3)) == 13
+        assert solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -3) == (-2, -2)
         assert solve_polystable_degrees(
-            PolystableSpec((0, 1), ((0, 4), (4, 0)), -3)
-        ) == (-2, -2)
-        assert solve_polystable_degrees(
-            PolystableSpec((0, 0, 0), ((0, 2, 2), (2, 0, 2), (2, 2, 0)), -3)
+            (0, 0, 0), ((0, 2, 2), (2, 0, 2), (2, 2, 0)), -3
         ) == (-2, -2, -2)
         assert solve_unknown_count(24, ((5, 2),), 1) == 14
         assert fibration_euler(((19, 1),)) == 19

@@ -14,9 +14,10 @@ from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
 from stratacheck.errors import ConfigError
-from stratacheck.ledger import ledger_rows
+from stratacheck.ledger import derived_ledger, discrepancy_report, ledger_rows
 from stratacheck.report import (
     DISCREPANCY,
+    ERROR,
     PASS,
     CheckRecord,
     VerificationReport,
@@ -142,6 +143,40 @@ def test_ledger_mode_key_is_ignored(mode, tmp_path):
     builtin = {r.name: r for r in run_section("verify-all", builtin_config())}
     cubic = {"mode": mode, "entries": ledger_rows(builtin_config().require("ledgers", "cubic"))}
     assert _run_with(tmp_path, {"ledgers": {"cubic": cubic}}, "verify-all") == builtin
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"actions": {"café": {"ambient_dim": 2}}}', encoding="utf-8")
+    src = Path(invariants.__file__).parents[1]
+    env = {"PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-m", "stratacheck", "lines27", "--config", str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+NESTED = []
+for _ in range(499):
+    NESTED = [NESTED]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("description", NESTED), ("description", 5), ("recipe", NESTED)],
+    ids=["nested-description", "integer-description", "nested-recipe"],
+)
+def test_ledger_text_fields_must_be_strings(field, value, tmp_path, capsys):
+    rows = ledger_rows(builtin_config().require("ledgers", "cubic"))
+    rows[0][field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ledgers": {"cubic": {"entries": rows}}}))
+    assert main(["euler", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"config error: ledgers.cubic.entries[0]: field {field!r} has wrong type\n"
+    )
 
 
 def test_importing_invariants_loads_no_other_layer():
@@ -564,6 +599,43 @@ def test_derived_ledger_copies_rows_without_recipe(tmp_path):
     assert (found[0].status, found[0].expected, found[0].computed) == (
         DISCREPANCY, 864, 936,
     )
+
+
+@pytest.mark.parametrize(
+    "pairing", [None, [[0, 1, 1], [1, 0, 1], [1, 1, -4]]], ids=["builtin", "diag-square-4"]
+)
+def test_battery_and_library_derive_the_same_values(pairing):
+    document = {} if pairing is None else {
+        "bases": {"curve-square": {"labels": ["f1", "f2", "diag"], "pairing": pairing}}
+    }
+    config = parse_config(document, "test")
+    basis = config.require("bases", "curve-square")
+    cubic = derived_ledger(config.require("ledgers", "cubic"), basis)
+    by_name = {r.name: r for r in run_section("euler", config)}
+    cases = [name for name in by_name if name.startswith("euler.derived.case-")]
+    assert cases == [f"euler.derived.case-{label}" for label in "knso"]
+    for name in cases:
+        entry = cubic.entry(name.removeprefix("euler.derived.case-"))
+        assert by_name[name].computed == entry.chi_base
+        assert entry.recipe in by_name[name].note
+    assert by_name["euler.derived.case-o"].note.startswith(f"cause: {cubic.entry('o').recipe};")
+    degree2 = config.require("ledgers", "degree2")
+    assert by_name["euler.derived.degree2-discrepancies"].computed == len(
+        discrepancy_report(degree2, derived_ledger(degree2, basis))
+    )
+
+
+def test_basis_without_diag_fails_only_the_route_through_it():
+    square = {"labels": ["f1", "f2", "d"], "pairing": [[0, 1, 1], [1, 0, 1], [1, 1, -6]]}
+    records = run_section("euler", parse_config({"bases": {"curve-square": square}}, "t"))
+    assert {r.name: r.status for r in records if r.name.startswith("euler.derived.")} == {
+        "euler.derived.case-k": PASS,
+        "euler.derived.case-n": PASS,
+        "euler.derived.case-s": PASS,
+        "euler.derived.case-o": ERROR,
+        "euler.derived.degree2-discrepancies": PASS,
+    }
+    assert [r.name for r in records if r.status != PASS] == ["euler.derived.case-o"]
 
 
 def test_corrected_reference_row_passes_its_case(tmp_path):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stratacheck.curves import (
-    PolystableSpec,
     fibration_euler,
     flex_count,
     moduli_dimension_check,
@@ -144,36 +143,35 @@ def test_moduli_dimension_examples():
 
 
 def test_polystable_two_components():
-    spec = PolystableSpec((0, 1), ((0, 4), (4, 0)), -3)
-    assert solve_polystable_degrees(spec) == (-2, -2)
+    assert solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -3) == (-2, -2)
     # slope equality alone pins the stated linear relation between the degrees
-    d1, d2 = solve_polystable_degrees(spec)
+    d1, d2 = solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -3)
     assert 2 * d1 + 2 == d2
 
 
 def test_polystable_three_components():
-    spec = PolystableSpec((0, 0, 0), ((0, 2, 2), (2, 0, 2), (2, 2, 0)), -3)
-    assert solve_polystable_degrees(spec) == (-2, -2, -2)
+    table = ((0, 2, 2), (2, 0, 2), (2, 2, 0))
+    assert solve_polystable_degrees((0, 0, 0), table, -3) == (-2, -2, -2)
 
 
 def test_polystable_single_component():
-    spec = PolystableSpec((4,), ((0,),), -3)
-    assert solve_polystable_degrees(spec) == (0,)
+    assert solve_polystable_degrees((4,), ((0,),), -3) == (0,)
 
 
 def test_polystable_requires_integer_solution():
-    spec = PolystableSpec((0, 1), ((0, 4), (4, 0)), -2)
     with pytest.raises(InconsistentInputError):
-        solve_polystable_degrees(spec)
+        solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -2)
 
 
 def test_polystable_table_validation():
-    with pytest.raises(ToolkitError):
-        PolystableSpec((0, 1), ((0, 4), (3, 0)), -3)
-    with pytest.raises(ToolkitError):
-        PolystableSpec((0, 1), ((1, 4), (4, 0)), -3)
-    with pytest.raises(ToolkitError):
-        solve_polystable_degrees(PolystableSpec((0,), ((0,),), -3))
+    with pytest.raises(ToolkitError, match="symmetric"):
+        solve_polystable_degrees((0, 1), ((0, 4), (3, 0)), -3)
+    with pytest.raises(ToolkitError, match="diagonal"):
+        solve_polystable_degrees((0, 1), ((1, 4), (4, 0)), -3)
+    with pytest.raises(ToolkitError, match="shape"):
+        solve_polystable_degrees((0, 1), ((0, 4),), -3)
+    with pytest.raises(ToolkitError, match="positive"):
+        solve_polystable_degrees((0,), ((0,),), -3)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,7 @@ def test_polystable_table_validation():
 def test_fibration_euler_examples():
     assert fibration_euler(((19, 1),)) == 19
     assert fibration_euler(((5, 0), (7, 0))) == 0
-    assert fibration_euler(((12, 1),), smooth_fiber_chi=0, base_chi=2) == 12
+    assert fibration_euler(((12, 1),)) == 12
 
 
 def test_solve_unknown_count_examples():
@@ -192,15 +190,8 @@ def test_solve_unknown_count_examples():
     assert solve_unknown_count(19, (), 1) == 19
 
 
-def test_solve_unknown_count_with_nonzero_smooth_fiber():
-    # total = (base - known - N) * smooth + known contributions + N * unknown
-    total = fibration_euler(((3, 5), (4, 2)), smooth_fiber_chi=1, base_chi=2)
-    n = solve_unknown_count(total, ((3, 5),), 2, smooth_fiber_chi=1, base_chi=2)
-    assert n == 4
-
-
 def test_solve_unknown_count_rejections():
-    with pytest.raises(ToolkitError):
+    with pytest.raises(ToolkitError, match="count is undetermined"):
         solve_unknown_count(12, (), 0)
     with pytest.raises(InconsistentInputError):
         solve_unknown_count(13, ((5, 2),), 2)

@@ -8,7 +8,6 @@ from stratacheck.errors import LedgerError
 from stratacheck.ledger import (
     Ledger,
     StratumEntry,
-    derive_entry,
     derived_ledger,
     discrepancy_report,
     discriminant_degree_sum,
@@ -21,7 +20,7 @@ CURVE_SQUARE = builtin_config().require("bases", "curve-square")
 
 
 def _derive(label):
-    return derive_entry(paper_ledger("cubic").entry(label), CURVE_SQUARE)
+    return derived_ledger(paper_ledger("cubic"), CURVE_SQUARE).entry(label)
 
 
 def test_cubic_paper_total():
@@ -54,9 +53,8 @@ def test_derived_entries():
     assert _derive("s").chi_base == 45
 
 
-def test_underivable_label_strictness():
-    with pytest.raises(LedgerError):
-        _derive("a")
+def test_derived_ledger_copies_underivable_rows():
+    assert _derive("a") == paper_ledger("cubic").entry("a")
 
 
 def test_derived_ledger_totals():
