@@ -178,14 +178,19 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
     end at zero: with r units of degree left for the variables i.., it can
     still change by between r*min(row[i:]) and r*max(row[i:]), so each
     exponent runs only over the interval that keeps the next window live.
-    The last exponent is the degree left and its window is the torus
-    equation, so the last variable only checks the congruences: a finite
-    weight must end divisible by its modulus.
+    A table built once per call gives, for each variable i and torus row,
+    (row index, c - lo, hi - c, lo, hi) with c = row[i] and the extremes
+    lo, hi of row[i+1:].  The last exponent is the degree left and its
+    window is the torus equation, so the last variable only checks the
+    congruences: a finite weight must end divisible by its modulus.
     """
     n, k = action.ambient_dim, len(action.torus_weights)
     rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
-    lo = [[min(row[i:]) for i in range(n)] for row in action.torus_weights]
-    hi = [[max(row[i:]) for i in range(n)] for row in action.torus_weights]
+    windows = [
+        [(r, c - a, b - c, a, b) for r, row in enumerate(action.torus_weights)
+         for c, a, b in ((row[i], min(row[i + 1:]), max(row[i + 1:])),)]
+        for i in range(n - 1)
+    ]
     steps = [[(j, row[i]) for j, row in enumerate(rows) if row[i]] for i in range(n)]
     congruences = [(k + j, m, w[-1]) for j, (m, w) in enumerate(action.finite_factors)]
     exps = [0] * n
@@ -194,15 +199,17 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
 
     def rec(i: int, remaining: int) -> None:
         if i == n - 1:
-            if all((weight[j] + remaining * c) % m == 0 for j, m, c in congruences):
-                exps[i] = remaining
-                found.append(tuple(exps))
+            for j, m, c in congruences:
+                if (weight[j] + remaining * c) % m:
+                    return
+            exps[i] = remaining
+            found.append(tuple(exps))
             return
         # window of i+1: e*(c - lo) <= -w - remaining*lo, e*(hi - c) <= w + remaining*hi
         top, bottom = remaining, 0
-        for r, row in enumerate(action.torus_weights):
-            w, c, a, b = weight[r], row[i], lo[r][i + 1], hi[r][i + 1]
-            for p, q in ((c - a, -w - remaining * a), (b - c, w + remaining * b)):
+        for r, below, above, a, b in windows[i]:
+            w = weight[r]
+            for p, q in ((below, -w - remaining * a), (above, w + remaining * b)):
                 if p > 0:
                     top = min(top, q // p)
                 elif p < 0:
@@ -218,7 +225,7 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
                 weight[j] -= e * c
 
     for degree in range(max_degree + 1):
-        if all(degree * a[0] <= 0 <= degree * b[0] for a, b in zip(lo, hi)):
+        if all(degree * min(row) <= 0 <= degree * max(row) for row in action.torus_weights):
             found.clear()
             rec(0, degree)
             yield from found
@@ -307,19 +314,21 @@ def binomial_relations(
     represents it, and the first representative is related to each of the
     others.  Fibers come in grlex order of their ambient monomial, + first.
 
-    Each generator monomial is one integer of w-bit digits, w =
-    max(bound, 1).bit_length(), with these fields from the top down:
-    weighted degree; ambient monomial, each digit complemented to
-    2^w - 1 - e; one sign bit, set for -1; generator count; exponent vector,
-    index 0 most significant; support mask, bit i for generator i.
-    Generators have nonnegative exponents and degree at least 1, so up to
-    the bound every count and exponent of either kind is at most the bound,
-    below 2^w: no field carries into the next.  A monomial takes generator
-    i by one precomputed addition, which on the first pass also sets bit i,
-    and an xor of the sign bit when i has sign -1.  Numeric order is
-    (weighted degree, ambient lex descending, sign, count, vector): the
-    fibers in output order, each with its members ascending by (degree,
-    vector).  So one sort lays out the fibers in turn, components are joined
+    The generator monomials live in one list per ambient degree, 0 to the
+    bound.  Each is one integer of w-bit digits, with w =
+    max(bound, 1).bit_length() and these fields from the top down: ambient
+    monomial, each digit complemented to 2^w - 1 - e; one sign bit, set for
+    -1; generator count; exponent vector, index 0 most significant; support
+    mask, bit i for generator i.  Generators have nonnegative exponents and
+    degree at least 1, so up to the bound every count and exponent of either
+    kind is at most the bound, below 2^w: no field carries into the next.
+    The pass for generator i of degree d extends layer e + d from layer e,
+    for e = 0 .. bound - d, by one precomputed addition, which also sets
+    bit i on the members older than the pass, and an xor of the sign bit
+    when i has sign -1; no member passes the bound.  Within a layer numeric
+    order is (ambient lex descending, sign, count, vector): the fibers in
+    output order, each with its members ascending by (degree, vector).  So
+    one sort per layer lays out its fibers in turn, components are joined
     on the support masks, and the first member to meet one is its least.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
@@ -339,22 +348,21 @@ def binomial_relations(
         raise ToolkitError("gen_signs must hold one +1 or -1 per generator")
     w = max(degree_bound, 1).bit_length()
     count = k + w * k  # the places of the fields, from the bottom up
-    sign, ambient, degree = count + w, count + w + 1, count + w + 1 + w * n
+    sign, ambient = count + w, count + w + 1
     full, top = (1 << k) - 1, (1 << w) - 1
-    members = [((1 << w * n) - 1) << ambient]
+    layers = [[((1 << w * n) - 1) << ambient]] + [[] for _ in range(degree_bound)]
     for i, g in enumerate(pres.generators):
-        # each pass multiplies the previous pass's monomials by g once more
+        # walked upwards, layer e + d takes g on each member of layer e
         d = sum(g)
-        limit = (degree_bound - d + 1) << degree
         amb = sum(e << w * (n - 1 - j) for j, e in enumerate(g))
-        add = (d << degree) - (amb << ambient) + (1 << count) + (1 << count - w * (i + 1))
+        add = (1 << count) + (1 << count - w * (i + 1)) - (amb << ambient)
         flip = 1 << sign if gen_signs is not None and gen_signs[i] < 0 else 0
-        layer, step = members, add + (1 << i)  # no earlier monomial holds g
-        while layer:
-            layer = [m + step ^ flip for m in layer if m < limit]
-            members += layer
-            step = add
-    members.sort()
+        step = add + (1 << i)  # no member from before the pass holds g
+        sizes = [len(layer) for layer in layers]
+        for e in range(degree_bound - d + 1):
+            layer, old = layers[e], sizes[e]
+            layers[e + d] += [m + step ^ flip for m in layer[:old]]
+            layers[e + d] += [m + add ^ flip for m in layer[old:]]
 
     def unpack(member):
         vector, mask = [0] * k, member & full
@@ -365,22 +373,27 @@ def binomial_relations(
         return tuple(vector)
 
     relations = []
-    for _, fiber in groupby(members, sign.__rrshift__):
-        fiber = list(fiber)
-        components = []  # the disjoint support masks of the components
-        for m in fiber:
-            mask, rest = m & full, []
-            for c in components:
-                if c & mask:
-                    mask |= c
-                else:
-                    rest.append(c)
-            rest.append(mask)
-            components = rest
-        if len(components) > 1:
-            leasts = sorted(next(m for m in fiber if m & c) for c in components)
-            first, *others = map(unpack, leasts)
-            relations += [(first, other) for other in others]
+    for layer in layers:
+        layer.sort()
+        for _, fiber in groupby(layer, sign.__rrshift__):
+            first, *others = fiber
+            if not others:
+                continue
+            components = [first & full]  # the disjoint support masks
+            for m in others:
+                mask, rest = m & full, []
+                for c in components:
+                    if c & mask:
+                        mask |= c
+                    else:
+                        rest.append(c)
+                rest.append(mask)
+                components = rest
+            if len(components) > 1:
+                fiber = (first, *others)
+                leasts = sorted(next(m for m in fiber if m & c) for c in components)
+                least, *more = map(unpack, leasts)
+                relations += [(least, other) for other in more]
     return tuple(relations)
 
 

@@ -62,21 +62,8 @@ def _formula(name, inputs, expected, provenance, fn, note=""):
 
 
 def _shared(compute):
-    """A property computed once per run; a raised exception is kept too and
-    raised again to every later reader instead of being recomputed."""
-
-    def read(run):
-        if compute not in run.outcomes:
-            try:
-                run.outcomes[compute] = (compute(run), None)
-            except Exception as exc:
-                run.outcomes[compute] = (None, exc)
-        value, exc = run.outcomes[compute]
-        if exc is not None:
-            raise exc
-        return value
-
-    return property(read)
+    """A property computed once per run, through ``_Run.once``."""
+    return property(lambda run: run.once(compute, lambda: compute(run)))
 
 
 class _Run:
@@ -89,6 +76,19 @@ class _Run:
     def __init__(self, config: ConfigDocument):
         self.config = config
         self.outcomes: dict = {}
+
+    def once(self, key, compute):
+        """compute() on the first call with this key; a raised exception is
+        kept too and raised again to every later call, not recomputed."""
+        if key not in self.outcomes:
+            try:
+                self.outcomes[key] = (compute(), None)
+            except Exception as exc:
+                self.outcomes[key] = (None, exc)
+        value, exc = self.outcomes[key]
+        if exc is not None:
+            raise exc
+        return value
 
     def _presentation(self, action, generator_bound, relation_bound):
         act = self.config.require("actions", action)
@@ -388,7 +388,9 @@ def _battery(config: ConfigDocument) -> list[Check]:
     ]
 
     def derived_case(r, label):
-        return ledger.DERIVED_RECIPES[label](r.curve_square)
+        # one recipe call per label and run gives both the value and the note
+        return r.once(("derived", label),
+                      lambda: ledger.DERIVED_RECIPES[label](r.curve_square))
 
     def discrepancy_note(r, label):
         derived = ledger.derived_ledger(cubic, r.curve_square)

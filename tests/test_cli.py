@@ -3,13 +3,14 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratacheck import __version__, errors, invariants
+from stratacheck import __version__, errors, invariants, ledger
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
@@ -636,6 +637,29 @@ def test_basis_without_diag_fails_only_the_route_through_it():
         "euler.derived.degree2-discrepancies": PASS,
     }
     assert [r.name for r in records if r.status != PASS] == ["euler.derived.case-o"]
+
+
+def test_each_derived_row_calls_its_recipe_once(monkeypatch):
+    calls = Counter()
+
+    def counted(label, recipe):
+        def spy(basis):
+            calls[label] += 1
+            return recipe(basis)
+        return spy
+
+    for label, recipe in list(ledger.DERIVED_RECIPES.items()):
+        monkeypatch.setitem(ledger.DERIVED_RECIPES, label, counted(label, recipe))
+    records = run_section("verify-all", builtin_config())
+    assert [r.status for r in records if r.name.startswith("euler.derived.case-")] == [
+        PASS, PASS, PASS, DISCREPANCY,
+    ]
+    # one call per case row, and one more each for the derived ledger that
+    # case-o's discrepancy note rebuilds
+    assert calls == {"k": 2, "n": 2, "s": 2, "o": 2, "bitangent": 1, "reducible": 1}
+    calls.clear()
+    run_section("verify-all", builtin_config(), mode="paper")
+    assert calls == {}
 
 
 def test_corrected_reference_row_passes_its_case(tmp_path):

@@ -530,6 +530,27 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     assert binomial_relations(empty, 4) == ()
 
 
+def test_layered_members_match_the_closure_in_any_generator_order():
+    # each pass grows the degree layers in the given generator order, which
+    # need not be grlex, and a generator above the bound adds no member
+    # but keeps its index and support bit
+    cases = (
+        MonoidPresentation(1, ((3,), (1,), (2,))),
+        MonoidPresentation(2, ((2, 0), (0, 13), (1, 1), (0, 2))),
+        MonoidPresentation(2, ((1, 1), (3, 0), (0, 7), (1, 0), (0, 1))),
+    )
+    for pres in cases:
+        for bound in range(-1, 13):
+            for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
+                got = binomial_relations(pres, bound, signs)
+                assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+    line, square, _ = cases
+    # x^2 = x * x, and x^3 = x * x^2, the least member of x^3's other component
+    assert binomial_relations(line, 6) == (((0, 0, 1), (0, 2, 0)), ((1, 0, 0), (0, 1, 1)))
+    assert binomial_relations(square, 12) == (((0, 0, 2, 0), (1, 0, 0, 1)),)
+    assert binomial_relations(square, 3) == ()
+
+
 def test_malformed_generator_signs_are_rejected():
     pres = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
     for signs in ((1,), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5)):
@@ -736,11 +757,11 @@ def test_grlex_key_total_degree_first():
 
 
 def random_enumeration_action(rng):
-    """A random action whose torus rows are mixed, all positive or all
-    negative, so the enumerator's pruning windows take every shape."""
+    """A random action with up to three torus rows, each mixed, all positive
+    or all negative, so the enumerator's pruning windows take every shape."""
     n = rng.randint(1, 6)
     torus = []
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, 3)):
         low, high = rng.choice(((-2, 2), (1, 2), (-2, -1)))
         torus.append(tuple(rng.randint(low, high) for _ in range(n)))
     finite = tuple(
@@ -761,12 +782,13 @@ def test_invariant_monomials_sorted_and_complete():
     for action in (DiagonalAction(2), DiagonalAction(2, ((1, -1),)), NEG4):
         assert list(invariants._invariant_vectors(action, -1)) == []
     rng = random.Random(20261020)
-    row_signs = set()
+    row_signs, row_counts = set(), set()
     for _ in range(300):
         action = random_enumeration_action(rng)
         row_signs.update(
             (min(row) > 0) - (max(row) < 0) for row in action.torus_weights
         )
+        row_counts.add(len(action.torus_weights))
         for bound in range(-1, 7):
             brute = sorted(
                 (
@@ -778,6 +800,7 @@ def test_invariant_monomials_sorted_and_complete():
             )
             assert list(invariants._invariant_vectors(action, bound)) == brute, (action, bound)
     assert row_signs == {-1, 0, 1}
+    assert row_counts == {0, 1, 2, 3}
 
 
 def test_every_relation_side_has_equal_expansion_under_validation():
