@@ -9,10 +9,9 @@ document overrides entries of the same name section by section.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, Record, ToolkitError
 from .invariants import CoordinateInvolution, DiagonalAction
 from .ledger import Ledger, StratumEntry, paper_ledger
 from .singularities import CyclicDiagonalElement, FiniteDiagonalGroup
@@ -23,14 +22,13 @@ from .surfaces import ClassBasis
 MAX_GROUP_ORDER = 10_000
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
+class ConfigDocument(Record):
     label: str
-    actions: dict[str, DiagonalAction] = field(default_factory=dict)
-    involutions: dict[str, CoordinateInvolution] = field(default_factory=dict)
-    groups: dict[str, FiniteDiagonalGroup] = field(default_factory=dict)
-    bases: dict[str, ClassBasis] = field(default_factory=dict)
-    ledgers: dict[str, Ledger] = field(default_factory=dict)
+    actions: dict[str, DiagonalAction]
+    involutions: dict[str, CoordinateInvolution]
+    groups: dict[str, FiniteDiagonalGroup]
+    bases: dict[str, ClassBasis]
+    ledgers: dict[str, Ledger]
 
     def require(self, section: str, name: str):
         table = getattr(self, section)

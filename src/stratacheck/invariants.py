@@ -19,18 +19,16 @@ carried through the bijection, must hold on the other side.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby, product
 
-from .errors import InvolutionError, NonSaturationError, ToolkitError
+from .errors import InvolutionError, NonSaturationError, Record, ToolkitError
 
 
 # ---------------------------------------------------------------------------
 # domain types
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class DiagonalAction(Record):
     """Diagonal action of (C*)^k x (finite abelian) on C^n, given by weights.
 
     ``torus_weights`` has one integer row of length n per C* factor.
@@ -64,8 +62,7 @@ class DiagonalAction:
                 raise ToolkitError("finite weight row has wrong length")
 
 
-@dataclass(frozen=True)
-class MonoidPresentation:
+class MonoidPresentation(Record):
     """Monomial generators plus binomial relations over the generator set.
 
     A relation is a pair (u, v) of exponent vectors over the generator index
@@ -109,8 +106,7 @@ class MonoidPresentation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CoordinateInvolution:
+class CoordinateInvolution(Record):
     """Order-two coordinate substitution x_i -> sign_i * x_image[i]."""
 
     image: tuple[int, ...]
@@ -133,8 +129,7 @@ class CoordinateInvolution:
                 raise InvolutionError("signs applied twice are not the identity")
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
+class IsomorphismResult(Record):
     """Outcome of a presentation comparison, with a certificate either way."""
 
     isomorphic: bool

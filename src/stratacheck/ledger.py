@@ -10,8 +10,6 @@ reports the differences instead of reconciling them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-
 from .curves import (
     pluecker_dual_degree,
     pluecker_solve_bf,
@@ -19,7 +17,7 @@ from .curves import (
     solve_unknown_count,
     theta_characteristics,
 )
-from .errors import LedgerError
+from .errors import LedgerError, Record
 from .lines27 import build_configuration
 from .surfaces import ClassBasis, adjunction_genus, bidegree_class, divisor, intersect
 
@@ -61,8 +59,7 @@ CUBIC_LABELS = tuple(_STRATA["cubic"])
 ZERO_FIBER_NOTE = "positive-dimensional fiber strata only; fiber chi is 0"
 
 
-@dataclass(frozen=True)
-class StratumEntry:
+class StratumEntry(Record):
     """One ledger row: chi of the base stratum times chi of the fiber."""
 
     label: str
@@ -89,8 +86,7 @@ class StratumEntry:
         return self.chi_base * self.chi_fiber
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(Record):
     """A named set of rows; a bundled name fixes the labels, others take their own."""
 
     name: str
@@ -124,7 +120,7 @@ def total_chi(ledger: Ledger) -> int:
 
 def ledger_rows(ledger: Ledger) -> list[dict]:
     """Rows in the documented structured form used for report emission."""
-    return [asdict(e) for e in ledger.entries]
+    return [e.asdict() for e in ledger.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +208,16 @@ def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:
     for e in reference.entries:
         if e.label in DERIVED_RECIPES:
             chi_base, recipe = DERIVED_RECIPES[e.label](basis)
-            e = replace(e, chi_base=chi_base, provenance="derived", recipe=recipe)
+            e = e.replace(chi_base=chi_base, provenance="derived", recipe=recipe)
         entries.append(e)
-    return replace(reference, entries=tuple(entries))
+    return reference.replace(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # discrepancy reporting
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     label: str
     field: str
     paper_value: int | None
@@ -261,8 +256,7 @@ def discrepancy_report(
 # finite fiber-point verifications
 
 
-@dataclass(frozen=True)
-class FiberPointChecks:
+class FiberPointChecks(Record):
     doubling_preimage_counts: tuple[tuple[tuple[int, int], int], ...]
     s_equivalence_class_count: int
 

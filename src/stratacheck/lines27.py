@@ -12,12 +12,11 @@ use, and every count is read off it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count, product, takewhile
 from math import isqrt
 
-from .errors import ToolkitError
+from .errors import Record, ToolkitError
 from .surfaces import ClassBasis, DivisorClass, divisor, intersect
 
 _EXCEPTIONAL = tuple(f"e{i}" for i in range(1, 7))
@@ -32,8 +31,7 @@ CANONICAL = divisor(PICARD, h=-3, **dict.fromkeys(_EXCEPTIONAL, 1))
 _PLANE_TYPES = {(0, 1, 2): "EGF", (1, 1, 1): "FFF"}
 
 
-@dataclass(frozen=True)
-class LineConfiguration:
+class LineConfiguration(Record):
     """``neighbours[i]`` indexes the lines meeting ``lines[i]``; a plane is an
     increasing triple of line indices."""
 
@@ -47,15 +45,16 @@ def _line_classes() -> list[DivisorClass]:
 
     The conditions read sum b_i^2 = a^2 + 1 and sum b_i = 3a - 1.
     Cauchy-Schwarz, (3a - 1)^2 <= 6(a^2 + 1), holds exactly for 0 <= a <= 2,
-    and then |b_i| <= isqrt(a^2 + 1) <= 2, so the search is complete.  Each
-    hit is confirmed through ``intersect``.
+    and then |b_i| <= isqrt(a^2 + 1) <= 2, so the search over b_1..b_5, with b_6
+    read off the linear condition, is complete.  Hits are confirmed by ``intersect``.
     """
     rank = len(_EXCEPTIONAL)
     found = []
     for a in takewhile(lambda a: (3 * a - 1) ** 2 <= rank * (a * a + 1), count()):
         reach = isqrt(a * a + 1)
-        for b in product(range(-reach, reach + 1), repeat=rank):
-            if sum(b) != 3 * a - 1 or sum(x * x for x in b) != a * a + 1:
+        for head in product(range(-reach, reach + 1), repeat=rank - 1):
+            b = head + (3 * a - 1 - sum(head),)
+            if abs(b[-1]) > reach or sum(x * x for x in b) != a * a + 1:
                 continue
             line = DivisorClass(PICARD, (a,) + tuple(-x for x in b))
             if intersect(line, line) != -1 or intersect(CANONICAL, line) != -1:
@@ -92,8 +91,7 @@ def tritangent_type_counts(config: LineConfiguration) -> dict[str, int]:
     ))
 
 
-@dataclass(frozen=True)
-class DualStratification:
+class DualStratification(Record):
     dual_line_count: int
     triple_point_count: int
     triples_per_line: int

@@ -8,7 +8,8 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .errors import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -16,8 +17,7 @@ DISCREPANCY = "discrepancy"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     name: str
     inputs: dict
     expected: object
@@ -27,12 +27,11 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     version: str
     mode: str
     config_label: str
-    checks: tuple[CheckRecord, ...] = field(default_factory=tuple)
+    checks: tuple[CheckRecord, ...]
 
     def summary(self) -> dict[str, int]:
         counts = {PASS: 0, FAIL: 0, DISCREPANCY: 0, ERROR: 0}

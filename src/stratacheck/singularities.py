@@ -9,16 +9,14 @@ means terminal, all at least 1 means canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import QuasiReflectionError, ToolkitError
+from .errors import QuasiReflectionError, Record, ToolkitError
 
 
-@dataclass(frozen=True)
-class CyclicDiagonalElement:
+class CyclicDiagonalElement(Record):
     """diag(z^a_1, ..., z^a_n) for z a primitive order-th root of unity."""
 
     order: int
@@ -51,8 +49,7 @@ def age(element: CyclicDiagonalElement) -> Fraction:
     return Fraction(sum(element.exponents), element.order)
 
 
-@dataclass(frozen=True)
-class FiniteDiagonalGroup:
+class FiniteDiagonalGroup(Record):
     """Group generated by commuting diagonal elements, stored in closed form."""
 
     generators: tuple[CyclicDiagonalElement, ...]
@@ -133,8 +130,7 @@ Q_FACTORIALITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ResolutionVerdict:
+class ResolutionVerdict(Record):
     verdict: str
     assumption: str
 

@@ -13,12 +13,10 @@ satisfy the dual-curve equations, whose unique solution is 96, so stratum
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
 
 from . import curves, invariants, ledger, lines27, singularities, surfaces
 from .config import ConfigDocument
-from .errors import ToolkitError
+from .errors import Record, ToolkitError
 from .report import DISCREPANCY, ERROR, FAIL, PASS, CheckRecord, format_value
 
 SECTION_NAMES = (
@@ -36,8 +34,7 @@ SECTION_NAMES = (
 EXPECTED_DISCREPANCIES = frozenset({"o"})
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One row of the battery; ``compute`` reads the run's shared intermediates.
 
     ``note`` is text, or a function of the run computed inside the row's

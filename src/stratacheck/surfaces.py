@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ToolkitError
+from .errors import Record, ToolkitError
 
 
-@dataclass(frozen=True)
-class ClassBasis:
+class ClassBasis(Record):
     """Named divisor classes together with their symmetric intersection pairing."""
 
     labels: tuple[str, ...]
@@ -34,8 +31,7 @@ class ClassBasis:
             raise ToolkitError(f"unknown class label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Integer combination of basis classes."""
 
     basis: ClassBasis

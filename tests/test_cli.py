@@ -194,6 +194,20 @@ def test_importing_invariants_loads_no_other_layer():
     assert out == "['stratacheck', 'stratacheck.errors', 'stratacheck.invariants']\n"
 
 
+def test_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site-packages .pth files, which may import anything, out
+    src = Path(invariants.__file__).parents[1]
+    code = (
+        "import sys, stratacheck.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("field", ["torus_weights", "finite_factors"])
 def test_cli_rejects_non_list_action_fields(field, tmp_path, capsys):
     path = tmp_path / "config.json"

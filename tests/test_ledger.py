@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -101,7 +100,7 @@ def test_duplicate_labels_rejected():
 def test_unknown_base_with_nonzero_fiber_rejected():
     ledger = paper_ledger("cubic")
     broken = tuple(
-        replace(e, chi_fiber=1) if e.label == "a" else e for e in ledger.entries
+        e.replace(chi_fiber=1) if e.label == "a" else e for e in ledger.entries
     )
     with pytest.raises(LedgerError):
         total_chi(Ledger("cubic", broken))
@@ -117,7 +116,7 @@ def test_total_chi_linear_in_fiber_values():
 
         def build(fibers):
             rows = tuple(
-                replace(e, chi_base=bases[e.label], chi_fiber=fibers[e.label])
+                e.replace(chi_base=bases[e.label], chi_fiber=fibers[e.label])
                 for e in base.entries
             )
             return Ledger("cubic", rows)

@@ -1,9 +1,11 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product, takewhile
+from math import isqrt
 
 from stratacheck.lines27 import (
     CANONICAL,
     PICARD,
+    _line_classes,
     build_configuration,
     dual_stratification_counts,
     tritangent_type_counts,
@@ -92,6 +94,18 @@ def test_wider_box_brute_force_finds_the_same_classes():
             if intersect(line, line) == -1 and intersect(CANONICAL, line) == -1:
                 found.add(line.coefficients)
     assert found == set(INDEX)
+
+
+def test_pruned_search_matches_the_full_product_in_order():
+    # the full six-coordinate box, filtered by both equations
+    oracle = []
+    for a in takewhile(lambda a: (3 * a - 1) ** 2 <= 6 * (a * a + 1), count()):
+        reach = isqrt(a * a + 1)
+        for b in product(range(-reach, reach + 1), repeat=6):
+            if sum(b) == 3 * a - 1 and sum(x * x for x in b) == a * a + 1:
+                oracle.append((a,) + tuple(-x for x in b))
+    assert [line.coefficients for line in _line_classes()] == oracle
+    assert len(oracle) == 27
 
 
 def test_derived_incidence_matches_the_classical_rule():
