@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .config import builtin_config, load_config
@@ -64,7 +63,8 @@ def main(argv=None) -> int:
     sys.stdout.write(render_text(report))
     if args.json:
         try:
-            Path(args.json).write_text(render_json(report))
+            with open(args.json, "w") as out:
+                out.write(render_json(report))
         except OSError as exc:
             print(f"cannot write the JSON report: {exc}", file=sys.stderr)
             return 3

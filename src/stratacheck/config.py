@@ -9,7 +9,6 @@ document overrides entries of the same name section by section.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import ConfigError, Record, ToolkitError
 from .invariants import CoordinateInvolution, DiagonalAction
@@ -234,7 +233,8 @@ def parse_config(raw: dict, label: str) -> ConfigDocument:
 
 def load_config(path) -> ConfigDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as source:
+            text = source.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:

@@ -93,6 +93,8 @@ class MonoidPresentation(Record):
         for u, v in rels:
             if len(u) != len(gens) or len(v) != len(gens):
                 raise ToolkitError("relation side has wrong generator count")
+            if min(u + v, default=0) < 0:
+                raise ToolkitError(f"relation {u} = {v} has a negative exponent")
             if self.expand(u) != self.expand(v):
                 raise ToolkitError(f"relation {u} = {v} does not expand to an identity")
 
@@ -171,59 +173,89 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
     which is grlex order.  It keeps the weight of the partial monomial on
     every torus row, then every finite row, up to date.  A torus weight must
     end at zero: with r units of degree left for the variables i.., it can
-    still change by between r*min(row[i:]) and r*max(row[i:]), so each
-    exponent runs only over the interval that keeps the next window live.
-    A table built once per call gives, for each variable i and torus row,
-    (row index, c - lo, hi - c, lo, hi) with c = row[i] and the extremes
-    lo, hi of row[i+1:].  The last exponent is the degree left and its
-    window is the torus equation, so the last variable only checks the
-    congruences: a finite weight must end divisible by its modulus.
+    still change by between r*min(row[i:]) and r*max(row[i:]).  So a degree
+    above 0 needs min(row) <= 0 <= max(row) on every row, tested once per
+    call, and the exponent e of variable i runs only over the interval that
+    keeps the window of i+1 live.  With c = row[i], lo and hi the extremes
+    of row[i+1:] and w the row's weight so far, that window is two
+    inequalities e*p <= s*w + r*t, with (p, s, t) = (c - lo, -1, -lo) and
+    (hi - c, 1, hi).  A table built once per call sorts them by the sign of
+    p, per variable: p > 0 caps e at (s*w + r*t) // p, p < 0 (stored as |p|)
+    raises its floor to -((s*w + r*t) // |p|), and p = 0 is a test that no
+    e changes.  At variable n-2 the last exponent is r - e and the window is
+    the torus equation itself, so each e there only checks the congruences,
+    base + e*(w[n-2] - w[n-1]) mod m for a finite row w, and its vector is
+    appended in place.  A one-variable action checks the congruences of
+    each degree alone.
     """
-    n, k = action.ambient_dim, len(action.torus_weights)
-    rows = action.torus_weights + tuple(w for _, w in action.finite_factors)
-    windows = [
-        [(r, c - a, b - c, a, b) for r, row in enumerate(action.torus_weights)
-         for c, a, b in ((row[i], min(row[i + 1:]), max(row[i + 1:])),)]
-        for i in range(n - 1)
+    n, k, torus = action.ambient_dim, len(action.torus_weights), action.torus_weights
+    if not all(min(row) <= 0 <= max(row) for row in torus):
+        max_degree = min(max_degree, 0)
+    if n == 1:
+        for degree in range(max_degree + 1):
+            if all(degree * w[0] % m == 0 for m, w in action.finite_factors):
+                yield (degree,)
+        return
+    rows = torus + tuple(w for _, w in action.finite_factors)
+    levels = []
+    for i in range(n - 1):
+        upper, lower, plain = [], [], []
+        for r, row in enumerate(torus):
+            c, a, b = row[i], min(row[i + 1:]), max(row[i + 1:])
+            for p, s, t in ((c - a, -1, -a), (b - c, 1, b)):
+                (upper if p > 0 else lower if p < 0 else plain).append((r, s, t, abs(p)))
+        step = [(j, row[i]) for j, row in enumerate(rows) if row[i]]
+        levels.append((plain, upper, lower, step))
+    closing = [
+        (k + j, w[-1], w[-2] - w[-1], m) for j, (m, w) in enumerate(action.finite_factors)
     ]
-    steps = [[(j, row[i]) for j, row in enumerate(rows) if row[i]] for i in range(n)]
-    congruences = [(k + j, m, w[-1]) for j, (m, w) in enumerate(action.finite_factors)]
-    exps = [0] * n
+    last = n - 2
+    exps = [0] * last
     weight = [0] * len(rows)
     found = []
 
     def rec(i: int, remaining: int) -> None:
-        if i == n - 1:
-            for j, m, c in congruences:
-                if (weight[j] + remaining * c) % m:
-                    return
-            exps[i] = remaining
-            found.append(tuple(exps))
-            return
-        # window of i+1: e*(c - lo) <= -w - remaining*lo, e*(hi - c) <= w + remaining*hi
+        plain, upper, lower, step = levels[i]
+        # the window of i+1 bounds e by e*p <= s*weight[r] + remaining*t
+        for r, s, t, _ in plain:
+            if s * weight[r] + remaining * t < 0:
+                return
         top, bottom = remaining, 0
-        for r, below, above, a, b in windows[i]:
-            w = weight[r]
-            for p, q in ((below, -w - remaining * a), (above, w + remaining * b)):
-                if p > 0:
-                    top = min(top, q // p)
-                elif p < 0:
-                    bottom = max(bottom, -(q // -p))
-                elif q < 0:
-                    return
+        for r, s, t, p in upper:
+            x = (s * weight[r] + remaining * t) // p
+            if x < top:
+                top = x
+        for r, s, t, p in lower:
+            x = -((s * weight[r] + remaining * t) // p)
+            if x > bottom:
+                bottom = x
+        if top < bottom:
+            return
+        if i == last:
+            # the last exponent is remaining - e; the window made the torus
+            # rows vanish, and each finite row is base + e*d mod m
+            for e in range(top, bottom - 1, -1):
+                for j, c, d, m in closing:
+                    if (weight[j] + remaining * c + e * d) % m:
+                        break
+                else:
+                    found.append((*exps, e, remaining - e))
+            return
+        # e counts down, so each step takes one c off a weight set one above
+        for j, c in step:
+            weight[j] += (top + 1) * c
         for e in range(top, bottom - 1, -1):
-            for j, c in steps[i]:
-                weight[j] += e * c
+            for j, c in step:
+                weight[j] -= c
             exps[i] = e
             rec(i + 1, remaining - e)
-            for j, c in steps[i]:
-                weight[j] -= e * c
+        for j, c in step:
+            weight[j] -= bottom * c
 
     for degree in range(max_degree + 1):
-        if all(degree * min(row) <= 0 <= degree * max(row) for row in action.torus_weights):
-            found.clear()
-            rec(0, degree)
-            yield from found
+        found.clear()
+        rec(0, degree)
+        yield from found
 
 
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
@@ -284,7 +316,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
             )
         kept.append(v)
     generators = sorted((m for v in kept for m in expansions(v)), key=_grlex_key)
-    return MonoidPresentation(action.ambient_dim, tuple(generators))
+    return MonoidPresentation(action.ambient_dim, tuple(generators), ())
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +443,7 @@ def relation_profile(pres: MonoidPresentation) -> dict:
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
     """Relations among the selected generators only, at twice their top degree."""
-    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep))
+    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep), ())
     return len(binomial_relations(sub, _twice_top_degree(sub.generators)))
 
 
@@ -510,7 +542,7 @@ def fixed_locus_presentation(
             degree_bound = max(sum(pres.expand(u)) for u, _ in pres.relations)
         else:
             degree_bound = _twice_top_degree(pres.generators)
-    base = MonoidPresentation(len(reps), tuple(new_gens))
+    base = MonoidPresentation(len(reps), tuple(new_gens), ())
     gen_signs = signs if any(s < 0 for s in signs) else None
     rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)
     return MonoidPresentation(len(reps), tuple(new_gens), rels)

@@ -199,7 +199,8 @@ def test_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
     src = Path(invariants.__file__).parents[1]
     code = (
         "import sys, stratacheck.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib')"
+        " if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},
@@ -266,6 +267,19 @@ def test_cli_input_errors_exit_3(config_text, json_path, tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-utf-8", "directory"])
+def test_cli_unreadable_config_exits_3(kind, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if kind == "not-utf-8":
+        path.write_bytes(b'{"actions": {"\xff": {}}}')
+    elif kind == "directory":
+        path.mkdir()
+    assert main(["lines27", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ") and err.count("\n") == 1
 
 
 JSON_VALUES = st.recursive(

@@ -586,6 +586,14 @@ def test_generators_with_negative_exponents_are_rejected():
         MonoidPresentation(2, ((2, -1),))
 
 
+def test_relations_with_negative_exponents_are_rejected():
+    # (2, -1) and (0, 0) both expand to x^0, but x^-1 is no monomial
+    with pytest.raises(ToolkitError, match="negative exponent"):
+        MonoidPresentation(1, ((1,), (2,)), (((2, -1), (0, 0)),))
+    with pytest.raises(ToolkitError, match="negative exponent"):
+        MonoidPresentation(1, ((1,), (2,)), (((0, 0), (-2, 1)),))
+
+
 def test_toric_relations_rejects_non_invariant_generators():
     bad = MonoidPresentation(8, ((1, 0, 0, 0, 0, 0, 0, 0),))
     with pytest.raises(ToolkitError):
@@ -783,24 +791,34 @@ def test_invariant_monomials_sorted_and_complete():
         assert list(invariants._invariant_vectors(action, -1)) == []
     rng = random.Random(20261020)
     row_signs, row_counts = set(), set()
+    one_variable_congruence = zero_only = False
+    closing_zero = set()  # whether w[-2] - w[-1] is 0 mod m, per finite row
     for _ in range(300):
         action = random_enumeration_action(rng)
+        n = action.ambient_dim
         row_signs.update(
             (min(row) > 0) - (max(row) < 0) for row in action.torus_weights
         )
         row_counts.add(len(action.torus_weights))
+        one_variable_congruence |= n == 1 and bool(action.finite_factors)
+        if n > 1:
+            closing_zero.update((w[-2] - w[-1]) % m == 0 for m, w in action.finite_factors)
+        one_signed = any(min(row) > 0 or max(row) < 0 for row in action.torus_weights)
         for bound in range(-1, 7):
             brute = sorted(
                 (
                     m
-                    for m in all_monomials(action.ambient_dim, bound)
+                    for m in all_monomials(n, bound)
                     if oracle_is_invariant(action, m)
                 ),
                 key=grlex_order,
             )
             assert list(invariants._invariant_vectors(action, bound)) == brute, (action, bound)
+            zero_only |= one_signed and bound >= 1 and brute == [(0,) * n]
     assert row_signs == {-1, 0, 1}
     assert row_counts == {0, 1, 2, 3}
+    assert one_variable_congruence and zero_only
+    assert closing_zero == {False, True}
 
 
 def test_every_relation_side_has_equal_expansion_under_validation():
