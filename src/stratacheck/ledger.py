@@ -3,23 +3,15 @@
 Two ledgers ship with the toolkit.  The main one covers the nineteen strata
 a..s of the discriminant of the six-dimensional fibration; the companion one
 covers the three contributing strata of the four-dimensional sibling built
-from a degree-2 Del Pezzo double plane.  Paper mode replays the recorded
-reference values; derived mode recomputes every entry that has a recipe and
-reports the differences instead of reconciling them.
+from a degree-2 Del Pezzo double plane.  This module is bookkeeping only:
+the reference rows, totals, derived ledgers built from derivations computed
+elsewhere (the recipes live in ``suite``, next to the battery rows they read)
+and the differences between two ledgers, reported instead of reconciled.
 """
 
 from __future__ import annotations
 
-from .curves import (
-    pluecker_dual_degree,
-    pluecker_solve_bf,
-    riemann_hurwitz_branch,
-    solve_unknown_count,
-    theta_characteristics,
-)
 from .errors import LedgerError, Record
-from .lines27 import build_configuration
-from .surfaces import ClassBasis, adjunction_genus, bidegree_class, divisor, intersect
 
 PROVENANCES = ("paper", "derived", "trivial")
 
@@ -143,71 +135,17 @@ def paper_ledger(name: str) -> Ledger:
 # derived rows
 
 
-def tangency_adjoint_degree(basis: ClassBasis) -> int:
-    """(K + T).T for the tangency divisor T = 12f1 + 6f2 - 2*diag on C x C.
+def derived_ledger(reference: Ledger, derivations: dict) -> Ledger:
+    """The reference ledger with each row in ``derivations`` recomputed.
 
-    K = 6f1 + 6f2 and 12f1 + 6f2 are the restrictions of the bidegree (1, 1)
-    and (1, 2) forms; the pairing of ``basis`` fixes the number, 132 when
-    diag.f1 = diag.f2 = 1 and diag^2 = -6.
-    """
-    tangency = bidegree_class(basis, 1, 2, 6) - 2 * divisor(basis, diag=1)
-    canonical = bidegree_class(basis, 1, 1, 6)
-    return intersect(canonical + tangency, tangency)
-
-
-def _o_derivation(basis: ClassBasis) -> tuple[int, str]:
-    d_star = pluecker_dual_degree(6, 6, 0)
-    bitangents, _ = pluecker_solve_bf(6, d_star, 4)
-    nodal_members = solve_unknown_count(12, (), 1)
-    # branch points of the 4-sheeted tangency-curve cover of the genus-4 curve
-    branch = riemann_hurwitz_branch(adjunction_genus(tangency_adjoint_degree(basis)), 4, 4)
-    return (
-        bitangents * nodal_members - 2 * branch,
-        f"pluecker_solve_bf(6, {d_star}, 4) bitangent count * {nodal_members} nodal "
-        f"members - 2 * {branch} branch points",
-    )
-
-
-def _n_derivation(_) -> tuple[int, str]:
-    lines = len(build_configuration().lines)
-    return (
-        riemann_hurwitz_branch(4, 0, 4) * lines,
-        f"riemann_hurwitz_branch(4, 0, 4) * {lines} dual lines",
-    )
-
-
-# label -> derivation from the curve-square basis, giving (chi_base, recipe)
-DERIVED_RECIPES = {
-    "k": lambda _: (theta_characteristics(4, "odd"), "theta_characteristics(4, odd)"),
-    "n": _n_derivation,
-    "o": _o_derivation,
-    "s": lambda _: (
-        len(build_configuration().planes),
-        "tritangent triple count of the 27-line configuration",
-    ),
-    "bitangent": lambda _: (
-        theta_characteristics(3, "odd"), "theta_characteristics(3, odd)"
-    ),
-    "reducible": lambda _: (
-        pluecker_solve_bf(4, pluecker_dual_degree(4, 0, 0), 3)[0],
-        "pluecker_solve_bf(4, 12, 3) bitangent count",
-    ),
-}
-
-
-def derived_ledger(reference: Ledger, basis: ClassBasis) -> Ledger:
-    """The reference ledger with every row that has a recipe recomputed.
-
-    A recipe in DERIVED_RECIPES recomputes the base chi through the other
-    modules; the fiber chi stays reference data (its finite ingredients are
-    verified by fiber_point_checks).  Rows without a recipe are copied
-    unchanged.  ``basis`` is the curve-square pairing the route to ``o``
-    runs through.
+    ``derivations`` maps a label to its derived (chi_base, recipe), already
+    computed; the fiber chi stays reference data (its finite ingredients are
+    verified by fiber_point_checks).  Other rows are copied unchanged.
     """
     entries = []
     for e in reference.entries:
-        if e.label in DERIVED_RECIPES:
-            chi_base, recipe = DERIVED_RECIPES[e.label](basis)
+        if e.label in derivations:
+            chi_base, recipe = derivations[e.label]
             e = e.replace(chi_base=chi_base, provenance="derived", recipe=recipe)
         entries.append(e)
     return reference.replace(entries=tuple(entries))
@@ -229,9 +167,7 @@ def discrepancy_report(
     ledger_paper: Ledger, ledger_derived: Ledger
 ) -> tuple[Discrepancy, ...]:
     """Rows where the two ledgers disagree, with the responsible recipe."""
-    if {e.label for e in ledger_paper.entries} != {
-        e.label for e in ledger_derived.entries
-    }:
+    if {e.label for e in ledger_paper.entries} != {e.label for e in ledger_derived.entries}:
         raise LedgerError("ledgers cover different label sets")
     found = []
     for paper_entry in ledger_paper.entries:
@@ -240,15 +176,8 @@ def discrepancy_report(
             pv = getattr(paper_entry, field_name)
             dv = getattr(derived_entry, field_name)
             if pv != dv:
-                found.append(
-                    Discrepancy(
-                        paper_entry.label,
-                        field_name,
-                        pv,
-                        dv,
-                        derived_entry.recipe or "no recipe recorded",
-                    )
-                )
+                found.append(Discrepancy(paper_entry.label, field_name, pv, dv,
+                                         derived_entry.recipe or "no recipe recorded"))
     return tuple(found)
 
 
@@ -278,9 +207,3 @@ def fiber_point_checks() -> FiberPointChecks:
     classes = {frozenset((d, -d)) for d in range(-2, 3)}
     return FiberPointChecks(counts, len(classes))
 
-
-def discriminant_degree_sum() -> int:
-    """Degree 12 of the dual surface plus degree 18 of the dual branch curve."""
-    nodal_members = solve_unknown_count(12, (), 1)
-    branch_dual = riemann_hurwitz_branch(4, 0, 6)
-    return nodal_members + branch_dual

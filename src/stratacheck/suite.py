@@ -4,10 +4,14 @@ The battery is one table of check rows, built from the active config.  A row
 names its check, inputs, frozen expected value and provenance: "paper" marks
 a value replayed from the reference dataset, "derived" one recomputed from
 an independent route, and "trivial" a definitional identity.  Adding a check
-means adding one row.  Exactly one record in derived mode is a discrepancy
-by design: the recorded bitangent count 90 for the nodal sextic does not
-satisfy the dual-curve equations, whose unique solution is 96, so stratum
-``o`` of the cubic ledger derives to 936 against the reference 864.
+means adding one row.  A row may read other rows' computed values, and its
+inputs then name them; each row is computed once per run, and a failure is
+an ERROR in every reader that names the row read.  The ledger recipes,
+``RECIPES``, are arithmetic on such values, so every derived number has one
+route.  Exactly one record in derived mode is a discrepancy by design: the
+recorded bitangent count 90 for the nodal sextic does not satisfy the
+dual-curve equations, whose unique solution is 96, so stratum ``o`` of the
+cubic ledger derives to 936 against the reference 864.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ EXPECTED_DISCREPANCIES = frozenset({"o"})
 
 
 class Check(Record):
-    """One row of the battery; ``compute`` reads the run's shared intermediates.
+    """One row of the battery; ``compute`` reads the run's shared intermediates
+    and, through ``_Run.value``, other rows' computed values.
 
     ``note`` is text, or a function of the run computed inside the row's
     guarded call.  A row with a ``discrepancy_note`` reports a mismatch as a
@@ -54,8 +59,12 @@ class Check(Record):
 
 
 def _formula(name, inputs, expected, provenance, fn, note=""):
-    """A row computed as ``fn(**inputs)``: the inputs are fn's arguments."""
-    return Check(name, inputs, expected, provenance, lambda run: fn(**inputs), note)
+    """A row computed as ``fn(**inputs)``: the inputs are fn's arguments, and
+    an input that names a row passes that row's computed value."""
+    return Check(name, inputs, expected, provenance, lambda run: fn(**{
+        key: run.value(arg) if isinstance(arg, str) and arg in run.rows else arg
+        for key, arg in inputs.items()
+    }), note)
 
 
 def _shared(compute):
@@ -64,14 +73,16 @@ def _shared(compute):
 
 
 class _Run:
-    """Intermediates several rows share, each computed once on first use.
+    """The battery's rows and the intermediates several rows share, each
+    computed once on first use.
 
     An exception raised while computing one reaches every row that reads it,
     inside that row's guarded call.
     """
 
-    def __init__(self, config: ConfigDocument):
+    def __init__(self, config: ConfigDocument, rows: list[Check]):
         self.config = config
+        self.rows = {row.name: row for row in rows}
         self.outcomes: dict = {}
 
     def once(self, key, compute):
@@ -86,6 +97,14 @@ class _Run:
         if exc is not None:
             raise exc
         return value
+
+    def value(self, name):
+        """Row ``name``'s computed value, once per run under its name; a
+        failure is raised again naming the row, and so names a chain of reads."""
+        try:
+            return self.once(name, lambda: self.rows[name].compute(self))
+        except Exception as exc:
+            raise ToolkitError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
     def _presentation(self, action, generator_bound, relation_bound):
         act = self.config.require("actions", action)
@@ -201,6 +220,48 @@ def _self_intersection(basis, label):
     return surfaces.intersect(d, d)
 
 
+def _n_recipe(value):
+    branch, lines = value("cover.quartic-pencil-branch"), value("lines27.line-count")
+    return branch * lines, f"riemann_hurwitz_branch(4, 0, 4) * {lines} dual lines"
+
+
+def _o_recipe(value):
+    bitangents, _ = value("pluecker.nodal-sextic.bitangents-flexes")
+    members = value("euler.pencil-nodal-members")
+    # branch points of the 4-sheeted tangency-curve cover of the genus-4 curve
+    branch = value("cover.tangency-curve-branch")
+    return bitangents * members - 2 * branch, (
+        f"pluecker_solve_bf(6, {value('pluecker.nodal-sextic.dual-degree')}, 4) bitangent "
+        f"count * {members} nodal members - 2 * {branch} branch points")
+
+
+# ledger label -> derivation giving (chi_base, recipe) from ``value``, which
+# reads a battery row's computed value by the row's name
+RECIPES = {
+    "k": lambda value: (value("pluecker.theta-odd.genus-4"), "theta_characteristics(4, odd)"),
+    "n": _n_recipe,
+    "o": _o_recipe,
+    "s": lambda value: (value("lines27.tritangent-count"),
+                        "tritangent triple count of the 27-line configuration"),
+    "bitangent": lambda value: (value("pluecker.theta-odd.genus-3"),
+                                "theta_characteristics(3, odd)"),
+    "reducible": lambda value: (value("pluecker.smooth-quartic.bitangents-flexes")[0],
+                                "pluecker_solve_bf(4, 12, 3) bitangent count"),
+}
+
+
+def _derivation(run, label):
+    # one recipe call per label and run gives a case row its value and note
+    # and case-o's note its derived ledger
+    return run.once(("derived", label), lambda: RECIPES[label](run.value))
+
+
+def _derived_ledger(run, reference):
+    return ledger.derived_ledger(reference, {
+        e.label: _derivation(run, e.label) for e in reference.entries if e.label in RECIPES
+    })
+
+
 # ---------------------------------------------------------------------------
 # the table
 
@@ -297,7 +358,8 @@ def _battery(config: ConfigDocument) -> list[Check]:
         # plane-curve arithmetic
         _formula("pluecker.nodal-sextic.dual-degree", {"d": 6, "delta": 6, "kappa": 0},
                  18, "paper", curves.pluecker_dual_degree),
-        _formula("pluecker.nodal-sextic.bitangents-flexes", {"d": 6, "d_star": 18, "g": 4},
+        _formula("pluecker.nodal-sextic.bitangents-flexes",
+                 {"d": 6, "d_star": "pluecker.nodal-sextic.dual-degree", "g": 4},
                  (96, 36), "derived", curves.pluecker_solve_bf,
                  note="reference value 90 for the bitangents fails both dual-curve "
                  "equations; 96 is the unique solution"),
@@ -328,7 +390,8 @@ def _battery(config: ConfigDocument) -> list[Check]:
                  18, "paper", curves.riemann_hurwitz_branch),
         _formula("cover.quartic-pencil-branch", {"g_source": 4, "g_target": 0, "degree": 4},
                  14, "paper", curves.riemann_hurwitz_branch),
-        _formula("cover.tangency-curve-branch", {"g_source": 67, "g_target": 4, "degree": 4},
+        _formula("cover.tangency-curve-branch",
+                 {"g_source": "intersect.adjunction-genus", "g_target": 4, "degree": 4},
                  108, "paper", curves.riemann_hurwitz_branch),
         # surface intersection arithmetic
         Check("intersect.diagonal-self", {"basis": "curve-square"},
@@ -340,10 +403,10 @@ def _battery(config: ConfigDocument) -> list[Check]:
               lambda r: surfaces.bidegree_class(r.curve_square, 1, 2, 6).coefficients),
         Check("intersect.adjoint-product",
               {"tangency": "12f1+6f2-2diag", "canonical": "6f1+6f2"},
-              132, "paper", lambda r: ledger.tangency_adjoint_degree(r.curve_square),
+              132, "paper", lambda r: surfaces.tangency_adjoint_degree(r.curve_square),
               note="needs diag.f1 = diag.f2 = 1; the recorded zero pairing "
               "cannot reproduce 132"),
-        _formula("intersect.adjunction-genus", {"canonical_degree": 132},
+        _formula("intersect.adjunction-genus", {"canonical_degree": "intersect.adjoint-product"},
                  67, "paper", surfaces.adjunction_genus),
         # the 27 lines
         Check("lines27.line-count", {}, 27, "paper", lambda r: len(r.lines.lines)),
@@ -374,8 +437,10 @@ def _battery(config: ConfigDocument) -> list[Check]:
         Check("euler.degree2-ledger-total",
               {"ledger": "degree2", "mode": "paper", "rows": ledger.ledger_rows(degree2)},
               212, "paper", lambda r: ledger.total_chi(degree2)),
-        Check("euler.discriminant-degree-sum", {"dual_surface": 12, "dual_branch_curve": 18},
-              30, "paper", lambda r: ledger.discriminant_degree_sum()),
+        _formula("euler.discriminant-degree-sum",
+                 {"dual_surface": "euler.pencil-nodal-members",
+                  "dual_branch_curve": "cover.sextic-pencil-branch"},
+                 30, "paper", lambda **degrees: sum(degrees.values())),
         Check("euler.doubling-solutions", {"torsion_model": "(Z/4)^2"},
               {"(0, 0)": 4, "(0, 2)": 4, "(2, 0)": 4, "(2, 2)": 4}, "derived",
               lambda r: {str(q): c for q, c in
@@ -384,13 +449,8 @@ def _battery(config: ConfigDocument) -> list[Check]:
               3, "paper", lambda r: ledger.fiber_point_checks().s_equivalence_class_count),
     ]
 
-    def derived_case(r, label):
-        # one recipe call per label and run gives both the value and the note
-        return r.once(("derived", label),
-                      lambda: ledger.DERIVED_RECIPES[label](r.curve_square))
-
     def discrepancy_note(r, label):
-        derived = ledger.derived_ledger(cubic, r.curve_square)
+        derived = _derived_ledger(r, cubic)
         found = {d.label: d for d in ledger.discrepancy_report(cubic, derived)}
         return (
             f"cause: {found[label].cause}; ledger totals: reference "
@@ -399,13 +459,13 @@ def _battery(config: ConfigDocument) -> list[Check]:
 
     # each derivable cubic row against its derivation: agreeing cases first,
     # then the designed discrepancies
-    derivable = [label for label in ledger.CUBIC_LABELS if label in ledger.DERIVED_RECIPES]
+    derivable = [label for label in ledger.CUBIC_LABELS if label in RECIPES]
     for label in sorted(derivable, key=lambda label: label in EXPECTED_DISCREPANCIES):
         rows.append(
             Check(f"euler.derived.case-{label}", {"ledger": "cubic", "label": label},
                   cubic.entry(label).chi_base, "derived",
-                  lambda r, label=label: derived_case(r, label)[0],
-                  note=lambda r, label=label: derived_case(r, label)[1],
+                  lambda r, label=label: _derivation(r, label)[0],
+                  note=lambda r, label=label: _derivation(r, label)[1],
                   derived_only=True,
                   discrepancy_note=(lambda r, label=label: discrepancy_note(r, label))
                   if label in EXPECTED_DISCREPANCIES else None)
@@ -413,8 +473,7 @@ def _battery(config: ConfigDocument) -> list[Check]:
     rows.append(
         Check("euler.derived.degree2-discrepancies", {"ledger": "degree2"},
               0, "paper",
-              lambda r: len(ledger.discrepancy_report(
-                  degree2, ledger.derived_ledger(degree2, r.curve_square))),
+              lambda r: len(ledger.discrepancy_report(degree2, _derived_ledger(r, degree2))),
               note="derivable companion rows agree with the reference values",
               derived_only=True)
     )
@@ -430,7 +489,7 @@ def _evaluate(row: Check, run: _Run) -> CheckRecord:
     one raised while rendering the computed value (an integer too long to
     print, say), so the rest of the report still prints."""
     try:
-        computed = row.compute(run)
+        computed = run.once(row.name, lambda: row.compute(run))
         format_value(computed)
         if computed != row.expected and row.discrepancy_note is not None:
             return CheckRecord(
@@ -455,10 +514,12 @@ def run_section(
     """Checks for one subcommand; verify-all runs every section."""
     if name != "verify-all" and name not in SECTION_NAMES:
         raise ToolkitError(f"unknown subcommand {name!r}")
-    run = _Run(config)
+    rows = _battery(config)
+    # every row, so that a kept row can read one the filters drop
+    run = _Run(config, rows)
     return [
         _evaluate(row, run)
-        for row in _battery(config)
+        for row in rows
         if name in ("verify-all", row.name.split(".")[0])
         and (mode == "derived" or not row.derived_only)
         and name_filter in row.name

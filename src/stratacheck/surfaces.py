@@ -106,3 +106,15 @@ def bidegree_class(basis: ClassBasis, p: int, q: int, hyperplane_degree: int) ->
     if p < 0 or q < 0 or hyperplane_degree < 0:
         raise ToolkitError("bidegree data must be non-negative")
     return divisor(basis, f1=q * hyperplane_degree, f2=p * hyperplane_degree)
+
+
+def tangency_adjoint_degree(basis: ClassBasis) -> int:
+    """(K + T).T for the tangency divisor T = 12f1 + 6f2 - 2*diag on C x C.
+
+    K = 6f1 + 6f2 and 12f1 + 6f2 are the restrictions of the bidegree (1, 1)
+    and (1, 2) forms; the pairing of ``basis`` fixes the number, 132 when
+    diag.f1 = diag.f2 = 1 and diag^2 = -6.
+    """
+    tangency = bidegree_class(basis, 1, 2, 6) - 2 * divisor(basis, diag=1)
+    canonical = bidegree_class(basis, 1, 1, 6)
+    return intersect(canonical + tangency, tangency)

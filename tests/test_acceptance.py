@@ -34,13 +34,7 @@ from stratacheck.invariants import (
     relation_profile,
     toric_relations,
 )
-from stratacheck.ledger import (
-    derived_ledger,
-    discrepancy_report,
-    discriminant_degree_sum,
-    paper_ledger,
-    total_chi,
-)
+from stratacheck.ledger import derived_ledger, discrepancy_report, paper_ledger, total_chi
 from stratacheck.lines27 import build_configuration, dual_stratification_counts
 from stratacheck.report import VerificationReport, render_json, render_text
 from stratacheck.singularities import (
@@ -52,7 +46,7 @@ from stratacheck.singularities import (
     classify_quotient,
     symplectic_resolution_verdict,
 )
-from stratacheck.suite import run_section
+from stratacheck.suite import RECIPES, run_section
 from stratacheck.surfaces import bidegree_class, adjunction_genus, divisor, intersect
 
 
@@ -242,7 +236,8 @@ def test_criterion_5_ledger_suite():
     with criterion(5, "stratification ledger suite"):
         assert total_chi(paper_ledger("cubic")) == 2283
         assert total_chi(paper_ledger("degree2")) == 212
-        assert discriminant_degree_sum() == 30
+        euler = {r.name: r.computed for r in run_section("euler", builtin_config())}
+        assert euler["euler.discriminant-degree-sum"] == 30
 
 
 def test_criterion_6_discrepancy_detection():
@@ -254,9 +249,10 @@ def test_criterion_6_discrepancy_detection():
         assert flex_count(6, 6, 0) == 36
         assert pluecker_dual_degree(6, 6, 0) == 18
 
+        values = {r.name: r.computed for r in run_section("verify-all", builtin_config())}
         paper = paper_ledger("cubic")
         derived = derived_ledger(
-            paper, builtin_config().require("bases", "curve-square")
+            paper, {label: recipe(values.__getitem__) for label, recipe in RECIPES.items()}
         )
         found = discrepancy_report(paper, derived)
         assert len(found) == 1

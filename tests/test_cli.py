@@ -10,15 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratacheck import __version__, errors, invariants, ledger
+from stratacheck import __version__, curves, errors, invariants, suite, surfaces
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
 from stratacheck.errors import ConfigError
-from stratacheck.ledger import derived_ledger, discrepancy_report, ledger_rows
+from stratacheck.ledger import ledger_rows
 from stratacheck.report import (
     DISCREPANCY,
     ERROR,
+    FAIL,
     PASS,
     CheckRecord,
     VerificationReport,
@@ -180,18 +181,19 @@ def test_ledger_text_fields_must_be_strings(field, value, tmp_path, capsys):
     )
 
 
-def test_importing_invariants_loads_no_other_layer():
+@pytest.mark.parametrize("layer", ["invariants", "ledger"])
+def test_importing_invariants_loads_no_other_layer(layer):
     src = Path(invariants.__file__).parents[1]
     code = (
         "import sys\n"
-        "from stratacheck import invariants\n"
+        f"from stratacheck import {layer}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'stratacheck'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "['stratacheck', 'stratacheck.errors', 'stratacheck.invariants']\n"
+    assert out == f"['stratacheck', 'stratacheck.errors', 'stratacheck.{layer}']\n"
 
 
 def test_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
@@ -611,12 +613,37 @@ def test_derived_ledger_reads_the_configured_pairing(tmp_path):
               "pairing": [[0, 1, 1], [1, 0, 1], [1, 1, -4]]}
     by_name = _run_with(tmp_path, {"bases": {"curve-square": square}}, "verify-all")
     assert by_name["intersect.adjoint-product"].computed == 140
+    # each row that reads the product follows it, against its reference value
+    genus, branch = by_name["intersect.adjunction-genus"], by_name["cover.tangency-curve-branch"]
+    assert (genus.status, genus.computed) == (FAIL, 71)
+    assert (branch.status, branch.computed) == (FAIL, 116)
     case_o = by_name["euler.derived.case-o"]
     assert case_o.status == DISCREPANCY
     # 96 bitangents * 12 nodal members - 2 * RH(71, 4, 4)
     assert case_o.computed == 96 * 12 - 2 * riemann_hurwitz_branch(71, 4, 4) == 920
     assert riemann_hurwitz_branch(71, 4, 4) == 116
     assert "- 2 * 116 branch points" in case_o.note
+
+    # a pairing without diag errs the rows on the route through it, and each
+    # reader names the row it read, down to the one that failed
+    square = {"labels": ["f1", "f2", "d"], "pairing": [[0, 1, 1], [1, 0, 1], [1, 1, -6]]}
+    by_name = _run_with(tmp_path, {"bases": {"curve-square": square}}, "verify-all")
+    assert {name: r.status for name, r in by_name.items() if r.status != PASS} == {
+        "cover.tangency-curve-branch": ERROR,
+        "intersect.diagonal-self": ERROR,
+        "intersect.adjoint-product": ERROR,
+        "intersect.adjunction-genus": ERROR,
+        "euler.derived.case-o": ERROR,
+    }
+    note = by_name["euler.derived.case-o"].note
+    assert "cover.tangency-curve-branch" in note and "intersect.adjoint-product" in note
+
+    # a filter that keeps case-o alone still computes the rows it reads
+    config = builtin_config()
+    alone = run_section("euler", config, name_filter="case-o")
+    everything = {r.name: r for r in run_section("verify-all", config)}
+    assert [(r.name, r.status) for r in alone] == [("euler.derived.case-o", DISCREPANCY)]
+    assert alone[0].note == everything["euler.derived.case-o"].note
 
 
 def test_derived_ledger_copies_rows_without_recipe(tmp_path):
@@ -633,25 +660,37 @@ def test_derived_ledger_copies_rows_without_recipe(tmp_path):
 @pytest.mark.parametrize(
     "pairing", [None, [[0, 1, 1], [1, 0, 1], [1, 1, -4]]], ids=["builtin", "diag-square-4"]
 )
-def test_battery_and_library_derive_the_same_values(pairing):
+def test_each_case_equals_the_arithmetic_of_the_rows_it_names(pairing):
     document = {} if pairing is None else {
         "bases": {"curve-square": {"labels": ["f1", "f2", "diag"], "pairing": pairing}}
     }
     config = parse_config(document, "test")
-    basis = config.require("bases", "curve-square")
-    cubic = derived_ledger(config.require("ledgers", "cubic"), basis)
-    by_name = {r.name: r for r in run_section("euler", config)}
+    by_name = {r.name: r for r in run_section("verify-all", config)}
+    value = {name: r.computed for name, r in by_name.items()}
     cases = [name for name in by_name if name.startswith("euler.derived.case-")]
     assert cases == [f"euler.derived.case-{label}" for label in "knso"]
-    for name in cases:
-        entry = cubic.entry(name.removeprefix("euler.derived.case-"))
-        assert by_name[name].computed == entry.chi_base
-        assert entry.recipe in by_name[name].note
-    assert by_name["euler.derived.case-o"].note.startswith(f"cause: {cubic.entry('o').recipe};")
-    degree2 = config.require("ledgers", "degree2")
-    assert by_name["euler.derived.degree2-discrepancies"].computed == len(
-        discrepancy_report(degree2, derived_ledger(degree2, basis))
+    bitangents, _ = value["pluecker.nodal-sextic.bitangents-flexes"]
+    assert value["euler.derived.case-k"] == value["pluecker.theta-odd.genus-4"]
+    assert value["euler.derived.case-n"] == (
+        value["cover.quartic-pencil-branch"] * value["lines27.line-count"]
     )
+    assert value["euler.derived.case-s"] == value["lines27.tritangent-count"]
+    assert value["euler.derived.case-o"] == (
+        bitangents * value["euler.pencil-nodal-members"]
+        - 2 * value["cover.tangency-curve-branch"]
+    ) == (936 if pairing is None else 920)
+    # a case's note is its recipe; case-o's discrepancy names it as the cause
+    recipes = {label: recipe(value.__getitem__) for label, recipe in suite.RECIPES.items()}
+    for label in "kns":
+        assert recipes[label] == (value[f"euler.derived.case-{label}"],
+                                  by_name[f"euler.derived.case-{label}"].note)
+    assert by_name["euler.derived.case-o"].note.startswith(f"cause: {recipes['o'][1]};")
+    degree2 = config.require("ledgers", "degree2")
+    derived2 = {"bitangent": value["pluecker.theta-odd.genus-3"],
+                "reducible": value["pluecker.smooth-quartic.bitangents-flexes"][0]}
+    assert value["euler.derived.degree2-discrepancies"] == sum(
+        degree2.entry(label).chi_base != chi_base for label, chi_base in derived2.items()
+    ) == 0
 
 
 def test_basis_without_diag_fails_only_the_route_through_it():
@@ -668,26 +707,46 @@ def test_basis_without_diag_fails_only_the_route_through_it():
 
 
 def test_each_derived_row_calls_its_recipe_once(monkeypatch):
-    calls = Counter()
+    recipe_calls, function_calls = Counter(), Counter()
 
-    def counted(label, recipe):
-        def spy(basis):
-            calls[label] += 1
-            return recipe(basis)
+    def counted(calls, name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
         return spy
 
-    for label, recipe in list(ledger.DERIVED_RECIPES.items()):
-        monkeypatch.setitem(ledger.DERIVED_RECIPES, label, counted(label, recipe))
+    for label, recipe in list(suite.RECIPES.items()):
+        monkeypatch.setitem(suite.RECIPES, label, counted(recipe_calls, label, recipe))
+    for module, name in [
+        (curves, "pluecker_dual_degree"),
+        (curves, "pluecker_solve_bf"),
+        (curves, "theta_characteristics"),
+        (curves, "riemann_hurwitz_branch"),
+        (surfaces, "adjunction_genus"),
+        (curves, "solve_unknown_count"),
+    ]:
+        monkeypatch.setattr(module, name, counted(function_calls, name, getattr(module, name)))
     records = run_section("verify-all", builtin_config())
     assert [r.status for r in records if r.name.startswith("euler.derived.case-")] == [
         PASS, PASS, PASS, DISCREPANCY,
     ]
-    # one call per case row, and one more each for the derived ledger that
-    # case-o's discrepancy note rebuilds
-    assert calls == {"k": 2, "n": 2, "s": 2, "o": 2, "bitangent": 1, "reducible": 1}
-    calls.clear()
+    # one call per case row, which case-o's discrepancy note reuses
+    assert recipe_calls == dict.fromkeys(suite.RECIPES, 1)
+    # one call per row that computes the value, however many rows read it
+    per_row = {
+        "pluecker_dual_degree": 1,
+        "pluecker_solve_bf": 3,
+        "theta_characteristics": 2,
+        "riemann_hurwitz_branch": 3,
+        "adjunction_genus": 1,
+        "solve_unknown_count": 2,
+    }
+    assert function_calls == per_row
+    recipe_calls.clear()
+    function_calls.clear()
     run_section("verify-all", builtin_config(), mode="paper")
-    assert calls == {}
+    assert recipe_calls == {}
+    assert function_calls == per_row
 
 
 def test_corrected_reference_row_passes_its_case(tmp_path):

@@ -9,17 +9,19 @@ from stratacheck.ledger import (
     StratumEntry,
     derived_ledger,
     discrepancy_report,
-    discriminant_degree_sum,
     fiber_point_checks,
     paper_ledger,
     total_chi,
 )
+from stratacheck.suite import RECIPES, run_section
 
-CURVE_SQUARE = builtin_config().require("bases", "curve-square")
+# every row's computed value in one built-in run, and each recipe on them
+VALUES = {r.name: r.computed for r in run_section("verify-all", builtin_config())}
+DERIVATIONS = {label: recipe(VALUES.__getitem__) for label, recipe in RECIPES.items()}
 
 
 def _derive(label):
-    return derived_ledger(paper_ledger("cubic"), CURVE_SQUARE).entry(label)
+    return derived_ledger(paper_ledger("cubic"), DERIVATIONS).entry(label)
 
 
 def test_cubic_paper_total():
@@ -57,14 +59,14 @@ def test_derived_ledger_copies_underivable_rows():
 
 
 def test_derived_ledger_totals():
-    derived = derived_ledger(paper_ledger("cubic"), CURVE_SQUARE)
+    derived = derived_ledger(paper_ledger("cubic"), DERIVATIONS)
     assert total_chi(derived) == 2355
     assert derived.entry("o").chi_base == 936
 
 
 def test_single_discrepancy_between_paper_and_derived():
     paper = paper_ledger("cubic")
-    found = discrepancy_report(paper, derived_ledger(paper, CURVE_SQUARE))
+    found = discrepancy_report(paper, derived_ledger(paper, DERIVATIONS))
     assert len(found) == 1
     d = found[0]
     assert d.label == "o"
@@ -78,7 +80,7 @@ def test_identical_ledgers_have_no_discrepancies():
 
 
 def test_degree2_ledgers_agree():
-    derived = derived_ledger(paper_ledger("degree2"), CURVE_SQUARE)
+    derived = derived_ledger(paper_ledger("degree2"), DERIVATIONS)
     assert discrepancy_report(paper_ledger("degree2"), derived) == ()
     assert derived.entry("bitangent").provenance == "derived"
     assert derived.entry("reducible").provenance == "derived"
@@ -138,7 +140,7 @@ def test_fiber_point_checks():
 
 
 def test_discriminant_degree_sum():
-    assert discriminant_degree_sum() == 30
+    assert VALUES["euler.discriminant-degree-sum"] == 30
 
 
 def test_mismatched_label_sets_rejected():
