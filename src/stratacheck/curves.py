@@ -3,12 +3,12 @@
 Dual degrees, bitangent and flex counts, branched-cover bookkeeping, theta
 characteristic counts, and the small exact linear solves the stratification
 ledger leans on.  Every solver demands exact integer answers; a negative or
-fractional result raises instead of rounding.
+fractional result raises instead of rounding.  The two solvers that divide
+import ``fractions`` when called, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import InconsistentInputError, ToolkitError
@@ -122,6 +122,8 @@ def solve_polystable_degrees(genera, intersections, total_chi: int) -> tuple[int
     denominators = [2 * g - 2 + sum(row) for g, row in zip(genera, intersections)]
     if any(n <= 0 for n in denominators):
         raise ToolkitError("every slope denominator C_i . C must be positive")
+    from fractions import Fraction
+
     mu = Fraction(total_chi, sum(denominators))
     degrees = []
     for g, n in zip(genera, denominators):
@@ -156,6 +158,8 @@ def solve_unknown_count(total_chi: int, known_strata, unknown_fiber_chi: int) ->
         raise ToolkitError(
             "unknown fiber chi equals the smooth fiber chi; count is undetermined"
         )
+    from fractions import Fraction
+
     count = Fraction(total_chi - fibration_euler(known_strata), unknown_fiber_chi)
     if count.denominator != 1 or count < 0:
         raise InconsistentInputError(f"no admissible integer fiber count: {count}")

@@ -2,16 +2,16 @@
 
 A group element is a diagonal matrix of roots of unity, recorded as an order
 r together with integer eigenvalue exponents.  The group is closed as
-exponent vectors over the lcm of the generator orders, and the classification
-reads the plain age of every nontrivial element: all ages strictly above 1
-means terminal, all at least 1 means canonical.
+exponent vectors over m, the lcm of the generator orders, and the
+classification reads the plain age sum(v) / m of every nontrivial vector v
+in integers: all sums above m means terminal, all at least m canonical.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import gcd, lcm
+from operator import add, attrgetter
 
 from .errors import QuasiReflectionError, Record, ToolkitError
 
@@ -44,9 +44,16 @@ class CyclicDiagonalElement(Record):
         return all(a == 0 for a in self.exponents)
 
 
-def age(element: CyclicDiagonalElement) -> Fraction:
-    """Sum of the eigenvalue exponents divided by the order, as an exact rational."""
+def age(element: CyclicDiagonalElement):
+    """Sum of the eigenvalue exponents divided by the order, as an exact
+    ``Fraction``.  ``fractions`` is imported here, where the one value is
+    built, so that importing this module does not load it."""
+    from fractions import Fraction
+
     return Fraction(sum(element.exponents), element.order)
+
+
+_order_then_exponents = attrgetter("order", "exponents")
 
 
 class FiniteDiagonalGroup(Record):
@@ -66,25 +73,36 @@ class FiniteDiagonalGroup(Record):
     def ambient_dim(self) -> int:
         return len(self.generators[0].exponents)
 
-    def elements(self) -> tuple[CyclicDiagonalElement, ...]:
-        """Every group element in reduced form, identity included.
+    def _closure(self) -> tuple[int, list[tuple[int, ...]]]:
+        """m and every group element as an exponent vector over m, the zero
+        vector first.
 
         Over m = the lcm of the generator orders, a generator of order r is
-        the exponent vector a * (m // r) in (Z/m)^n and composing adds vectors
-        mod m.  The worklist closes the zero vector under adding generators.
+        the vector a * (m // r) in (Z/m)^n and composing adds vectors mod m.
+        Generators join one at a time: if H is closed so far and c is the
+        least multiple with c * g in H, the group H + <g> is the disjoint
+        union of the cosets H + j * g for j < c, one addition per element.
         """
         m = lcm(*(g.order for g in self.generators))
-        steps = [tuple(a * (m // g.order) for a in g.exponents) for g in self.generators]
         found = [(0,) * self.ambient_dim]
         seen = set(found)
-        for v in found:
-            for step in steps:
-                w = tuple((a + b) % m for a, b in zip(v, step))
-                if w not in seen:
-                    seen.add(w)
-                    found.append(w)
+        for g in self.generators:
+            step = tuple(a * (m // g.order) for a in g.exponents)
+            subgroup, shift = found[:], step
+            while shift not in seen:
+                coset = [tuple(map(m.__rmod__, map(add, h, shift)))
+                         for h in subgroup]
+                seen.update(coset)
+                found += coset
+                shift = tuple(map(m.__rmod__, map(add, shift, step)))
+        return m, found
+
+    def elements(self) -> tuple[CyclicDiagonalElement, ...]:
+        """Every group element in reduced form, identity included, ordered by
+        (order, exponents)."""
+        m, found = self._closure()
         elements = (CyclicDiagonalElement(m, v).reduced() for v in found)
-        return tuple(sorted(elements, key=lambda e: (e.order, e.exponents)))
+        return tuple(sorted(elements, key=_order_then_exponents))
 
 
 class SingularityClass(str, Enum):
@@ -106,17 +124,28 @@ def classify_quotient(group: FiniteDiagonalGroup) -> SingularityClass:
     z -> z^t is sum((t * a) mod r) / r, which is age(e^t), and e^t is again
     a nontrivial element of the group.  So the ages over all elements and all
     primitive embeddings are exactly the plain ages over all elements.
+
+    In integers: written over m, an element is a vector v with entries in
+    [0, m), and its age is exactly sum(v) / m, whatever its own order.  So
+    every age is above 1 when every nontrivial sum is above m, and at least
+    1 when every sum is at least m; the least sum decides both.  A
+    quasi-reflection is a vector with one nonzero entry, reduced only to
+    name the first one in (order, exponents) order.
     """
-    nontrivial = [e for e in group.elements() if not e.is_identity()]
-    for e in nontrivial:
-        if sum(1 for a in e.exponents if a) == 1:
-            raise QuasiReflectionError(
-                f"element {e} fixes a hyperplane; age criterion does not apply"
-            )
-    ages = [age(e) for e in nontrivial]
-    if all(a > 1 for a in ages):
+    m, vectors = group._closure()
+    nontrivial = vectors[1:]
+    # a quasi-reflection has a zero in all coordinates but one
+    quasi = [v for v in nontrivial if v.count(0) == group.ambient_dim - 1]
+    if quasi:
+        e = min((CyclicDiagonalElement(m, v).reduced() for v in quasi),
+                key=_order_then_exponents)
+        raise QuasiReflectionError(
+            f"element {e} fixes a hyperplane; age criterion does not apply"
+        )
+    least = min(map(sum, nontrivial), default=m + 1)  # ages times m
+    if least > m:
         return SingularityClass.TERMINAL
-    if all(a >= 1 for a in ages):
+    if least >= m:
         return SingularityClass.CANONICAL_NOT_TERMINAL
     return SingularityClass.NOT_CANONICAL
 

@@ -197,12 +197,15 @@ def test_importing_invariants_loads_no_other_layer(layer):
 
 
 def test_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site-packages .pth files, which may import anything, out
+    # -S keeps site-packages .pth files, which may import anything, out; the
+    # age test works in integers and the curve solvers import fractions when
+    # called, so neither the CLI nor a worker that imports the singularities
+    # layer loads fractions or decimal
     src = Path(invariants.__file__).parents[1]
     code = (
-        "import sys, stratacheck.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib')"
-        " if m in sys.modules))"
+        "import sys, stratacheck.cli, stratacheck.singularities\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib',"
+        " 'fractions', 'decimal') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(src)},

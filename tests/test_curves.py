@@ -159,8 +159,13 @@ def test_polystable_single_component():
 
 
 def test_polystable_requires_integer_solution():
-    with pytest.raises(InconsistentInputError):
-        solve_polystable_degrees((0, 1), ((0, 4), (4, 0)), -2)
+    # the message names the first component's degree in lowest terms:
+    # d = -2 * 2 / 6 - 1 = -5/3, and d = 9 * 2 / 4 - 1 = 7/2
+    cases = ((((0, 1), ((0, 4), (4, 0)), -2), "-5/3"), (((0, 0), ((0, 4), (4, 0)), 9), "7/2"))
+    for args, d in cases:
+        with pytest.raises(InconsistentInputError) as exc:
+            solve_polystable_degrees(*args)
+        assert str(exc.value) == f"no integer degree solution: component needs d = {d}"
 
 
 def test_polystable_table_validation():
@@ -193,5 +198,10 @@ def test_solve_unknown_count_examples():
 def test_solve_unknown_count_rejections():
     with pytest.raises(ToolkitError, match="count is undetermined"):
         solve_unknown_count(12, (), 0)
-    with pytest.raises(InconsistentInputError):
-        solve_unknown_count(13, ((5, 2),), 2)
+    # the message names the count in lowest terms: 9 - 6 * 2 = -3 fibers of
+    # chi 1, and 3/2 fibers of chi 2
+    cases = (((9, ((6, 2),), 1), "-3"), ((13, ((5, 2),), 2), "3/2"))
+    for args, count in cases:
+        with pytest.raises(InconsistentInputError) as exc:
+            solve_unknown_count(*args)
+        assert str(exc.value) == f"no admissible integer fiber count: {count}"

@@ -516,8 +516,9 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     # 8 and 16 the width grows by one bit
     corner = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
     line = MonoidPresentation(1, ((1,), (2,), (3,)))
+    single = MonoidPresentation(3, ((2, 0, 1),))
     empty = MonoidPresentation(3, ())
-    cases = [(pres, bound) for pres in (corner, line) for bound in range(-2, 18)]
+    cases = [(pres, bound) for pres in (corner, line, single) for bound in range(-2, 18)]
     cases += [(empty, 4), (empty, 0), (empty, -1)]
     for pres, bound in cases:
         sign_choices = [None] + list(product((1, -1), repeat=len(pres.generators)))
@@ -527,7 +528,8 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
     assert binomial_relations(line, 15) == (((0, 1, 0), (2, 0, 0)), ((0, 0, 1), (1, 1, 0)))
-    assert binomial_relations(empty, 4) == ()
+    # one generator's powers expand to distinct monomials
+    assert binomial_relations(single, 17) == binomial_relations(empty, 4) == ()
 
 
 def test_layered_members_match_the_closure_in_any_generator_order():
