@@ -493,17 +493,16 @@ def fixed_locus_presentation(
     action: DiagonalAction,
     pres: MonoidPresentation,
     inv: CoordinateInvolution,
-    degree_bound: int | None = None,
+    degree_bound: int,
 ) -> MonoidPresentation:
     """Presentation induced on the fixed locus of a normalizing involution.
 
     The fixed locus of the substitution is cut out by identifying each
     variable with (sign times) its image; generators are rewritten in one
     representative variable per orbit, duplicates merge, and the relations
-    are recomputed by ``binomial_relations`` in the reduced variables.  When
-    no bound is given, the largest ambient degree among the input relations
-    is reused (or twice the top generator degree if there are none, 0
-    without generators).
+    are computed by ``binomial_relations`` in the reduced variables, up to
+    ambient degree ``degree_bound``.  Only the generators of ``pres`` are
+    read, so a generators-only presentation serves.
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
@@ -537,11 +536,6 @@ def fixed_locus_presentation(
 
     new_gens = sorted(reduced, key=_grlex_key)
     signs = tuple(reduced[g] for g in new_gens)
-    if degree_bound is None:
-        if pres.relations:
-            degree_bound = max(sum(pres.expand(u)) for u, _ in pres.relations)
-        else:
-            degree_bound = _twice_top_degree(pres.generators)
     base = MonoidPresentation(len(reps), tuple(new_gens), ())
     gen_signs = signs if any(s < 0 for s in signs) else None
     rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)

@@ -40,9 +40,6 @@ class CyclicDiagonalElement(Record):
             self.order // g, tuple(a // g for a in self.exponents)
         )
 
-    def is_identity(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
 
 def age(element: CyclicDiagonalElement):
     """Sum of the eigenvalue exponents divided by the order, as an exact

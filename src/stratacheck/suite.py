@@ -37,6 +37,10 @@ SECTION_NAMES = (
 # derivation; a mismatch there is a DISCREPANCY, anywhere else a FAIL
 EXPECTED_DISCREPANCIES = frozenset({"o"})
 
+# action -> the degree its invariant generators, their relations and the
+# relations of a fixed locus of it are computed up to
+DEGREE_BOUNDS = {"torus-pair": 4, "negation-c4": 4, "torus-triple": 6, "z2z2-c6": 4}
+
 
 class Check(Record):
     """One row of the battery; ``compute`` reads the run's shared intermediates
@@ -76,8 +80,13 @@ class _Run:
     """The battery's rows and the intermediates several rows share, each
     computed once on first use.
 
-    An exception raised while computing one reaches every row that reads it,
-    inside that row's guarded call.
+    An invariant ring is three steps keyed by action, each up to the action's
+    bound in ``DEGREE_BOUNDS``: its generators, their relations, and the
+    presentation of a fixed locus, which reads the same generators.  A row
+    reads only the step it needs.  An exception raised while computing one
+    reaches every row that reads it, inside that row's guarded call, and
+    every later step that reads it: a relation failure leaves the generator
+    rows standing.
     """
 
     def __init__(self, config: ConfigDocument, rows: list[Check]):
@@ -106,41 +115,20 @@ class _Run:
         except Exception as exc:
             raise ToolkitError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
-    def _presentation(self, action, generator_bound, relation_bound):
-        act = self.config.require("actions", action)
-        gens = invariants.invariant_generators(act, generator_bound)
-        return invariants.toric_relations(act, gens, relation_bound)
+    def generators(self, action):
+        return self.once(("generators", action), lambda: invariants.invariant_generators(
+            self.config.require("actions", action), DEGREE_BOUNDS[action]))
 
-    def _fixed_locus(self, action, pres, involution):
-        return invariants.fixed_locus_presentation(
-            self.config.require("actions", action),
-            pres,
-            self.config.require("involutions", involution),
-        )
+    def relations(self, action):
+        return self.once(("relations", action), lambda: invariants.toric_relations(
+            self.config.require("actions", action), self.generators(action),
+            DEGREE_BOUNDS[action]))
 
-    @_shared
-    def pair(self):
-        return self._presentation("torus-pair", 4, 4)
-
-    @_shared
-    def neg4(self):
-        return self._presentation("negation-c4", 4, 4)
-
-    @_shared
-    def triple(self):
-        return self._presentation("torus-triple", 6, 6)
-
-    @_shared
-    def z2z2(self):
-        return self._presentation("z2z2-c6", 4, 6)
-
-    @_shared
-    def pair_fixed(self):
-        return self._fixed_locus("torus-pair", self.pair, "swap-pair")
-
-    @_shared
-    def triple_fixed(self):
-        return self._fixed_locus("torus-triple", self.triple, "swap-triple")
+    def fixed_locus(self, action, involution):
+        return self.once(("fixed-locus", action, involution), lambda: (
+            invariants.fixed_locus_presentation(
+                self.config.require("actions", action), self.generators(action),
+                self.config.require("involutions", involution), DEGREE_BOUNDS[action])))
 
     @_shared
     def curve_square(self):
@@ -170,10 +158,11 @@ def _ambient_relation_histogram(pres):
     return dict(Counter(sum(pres.expand(u)) for u, _ in pres.relations))
 
 
-def _is_minor_swap(pres, relation):
-    """Both sides are products of two generators swapping their ambient factors."""
-    u, v = relation
-    return sum(u) == 2 and sum(v) == 2 and pres.expand(u) == pres.expand(v)
+def _are_minor_swaps(pres):
+    """Both sides of every relation are products of two generators swapping
+    their ambient factors."""
+    return all(sum(u) == 2 and sum(v) == 2 and pres.expand(u) == pres.expand(v)
+               for u, v in pres.relations)
 
 
 def _triple_reference_families(triple):
@@ -271,73 +260,77 @@ def _battery(config: ConfigDocument) -> list[Check]:
     cubic = config.require("ledgers", "cubic")
     degree2 = config.require("ledgers", "degree2")
     families_note = "sizes of the structured reference families"
-    pair_inputs = {"action": "torus-pair", "degree_bound": 4}
-    triple_inputs = {"action": "torus-triple", "degree_bound": 6}
+    pair_inputs = {"action": "torus-pair", "degree_bound": DEGREE_BOUNDS["torus-pair"]}
+    neg4_inputs = {"action": "negation-c4", "degree_bound": DEGREE_BOUNDS["negation-c4"]}
+    triple_inputs = {"action": "torus-triple", "degree_bound": DEGREE_BOUNDS["torus-triple"]}
+    pair_fixed_inputs = {"action": "torus-pair", "involution": "swap-pair"}
     triple_fixed_inputs = {"action": "torus-triple", "involution": "swap-triple"}
     rows = [
         # invariant rings
         Check("invariants.torus-pair.generator-count", pair_inputs,
-              16, "paper", lambda r: len(r.pair.generators)),
+              16, "paper", lambda r: len(r.generators("torus-pair").generators)),
         Check("invariants.torus-pair.generator-degrees", {"action": "torus-pair"},
-              {2: 16}, "paper", lambda r: _degree_histogram(r.pair)),
+              {2: 16}, "paper", lambda r: _degree_histogram(r.generators("torus-pair"))),
         Check("invariants.torus-pair.relation-count", pair_inputs,
-              36, "derived", lambda r: len(r.pair.relations),
+              36, "derived", lambda r: len(r.relations("torus-pair").relations),
               note="one two-by-two minor identity per pair of rows and columns"),
         Check("invariants.torus-pair.relations-are-minor-swaps", {"action": "torus-pair"},
-              True, "derived",
-              lambda r: all(_is_minor_swap(r.pair, rel) for rel in r.pair.relations)),
-        Check("invariants.negation-c4.generator-count",
-              {"action": "negation-c4", "degree_bound": 4},
-              10, "paper", lambda r: len(r.neg4.generators)),
-        Check("invariants.negation-c4.relation-count",
-              {"action": "negation-c4", "degree_bound": 4},
-              20, "derived", lambda r: len(r.neg4.relations),
+              True, "derived", lambda r: _are_minor_swaps(r.relations("torus-pair"))),
+        Check("invariants.negation-c4.generator-count", neg4_inputs,
+              10, "paper", lambda r: len(r.generators("negation-c4").generators)),
+        Check("invariants.negation-c4.relation-count", neg4_inputs,
+              20, "derived", lambda r: len(r.relations("negation-c4").relations),
               note="pair swaps of quadratic monomial factorizations"),
         Check("invariants.torus-triple.generator-count", triple_inputs,
-              28, "paper", lambda r: len(r.triple.generators)),
+              28, "paper", lambda r: len(r.generators("torus-triple").generators)),
         Check("invariants.torus-triple.generator-degrees", {"action": "torus-triple"},
-              {2: 12, 3: 16}, "paper", lambda r: _degree_histogram(r.triple)),
+              {2: 12, 3: 16}, "paper",
+              lambda r: _degree_histogram(r.generators("torus-triple"))),
         Check("invariants.torus-triple.relation-families", triple_inputs,
               {"quadratic-blocks": 3, "within-letter-cubics": 18,
                "cross-letter-cubics": 64},
-              "paper", lambda r: _triple_reference_families(r.triple),
+              "paper", lambda r: _triple_reference_families(r.relations("torus-triple")),
               note=families_note),
         Check("invariants.torus-triple.relation-profile", triple_inputs,
               {"(4, (2, 2))": 3, "(5, (2, 2))": 48, "(6, (2, 2))": 18,
                "(6, (2, 3))": 64},
               "derived",
-              lambda r: {str(k): v for k, v in
-                         sorted(invariants.relation_profile(r.triple).items())},
+              lambda r: {str(k): v for k, v in sorted(
+                  invariants.relation_profile(r.relations("torus-triple")).items())},
               note="complete minimal congruence set; the 48 mixed quadratic-cubic "
               "swaps of ambient degree 5 are indispensable but not part of the "
               "reference families"),
-        Check("invariants.torus-pair.fixed-locus.generator-count",
-              {"action": "torus-pair", "involution": "swap-pair"},
-              10, "paper", lambda r: len(r.pair_fixed.generators)),
+        Check("invariants.torus-pair.fixed-locus.generator-count", pair_fixed_inputs,
+              10, "paper", lambda r: len(r.fixed_locus(**pair_fixed_inputs).generators)),
         Check("invariants.torus-pair.fixed-locus.isomorphic-negation-c4",
               {"left": "torus-pair fixed locus", "right": "negation-c4 invariants"},
-              True, "paper", lambda r: _isomorphic(r.pair_fixed, r.neg4)),
+              True, "paper", lambda r: _isomorphic(r.fixed_locus(**pair_fixed_inputs),
+                                                   r.generators("negation-c4"))),
         Check("invariants.torus-triple.fixed-locus.generator-count", triple_fixed_inputs,
-              17, "paper", lambda r: len(r.triple_fixed.generators)),
+              17, "paper", lambda r: len(r.fixed_locus(**triple_fixed_inputs).generators)),
         Check("invariants.torus-triple.fixed-locus.generator-degrees", triple_fixed_inputs,
-              {2: 9, 3: 8}, "paper", lambda r: _degree_histogram(r.triple_fixed)),
+              {2: 9, 3: 8}, "paper",
+              lambda r: _degree_histogram(r.fixed_locus(**triple_fixed_inputs))),
         Check("invariants.torus-triple.fixed-locus.relation-families", triple_fixed_inputs,
               {"block-squares": 3, "cubic-pair-products": 36}, "paper",
               lambda r: {
-                  "block-squares": _ambient_relation_histogram(r.triple_fixed).get(4, 0),
-                  "cubic-pair-products":
-                      invariants.cubic_quadratic_matchings(r.triple_fixed),
+                  "block-squares": _ambient_relation_histogram(
+                      r.fixed_locus(**triple_fixed_inputs)).get(4, 0),
+                  "cubic-pair-products": invariants.cubic_quadratic_matchings(
+                      r.fixed_locus(**triple_fixed_inputs)),
               },
               note=families_note),
         Check("invariants.torus-triple.fixed-locus.relation-profile", triple_fixed_inputs,
               {4: 3, 5: 24, 6: 36}, "derived",
-              lambda r: _ambient_relation_histogram(r.triple_fixed),
+              lambda r: _ambient_relation_histogram(r.fixed_locus(**triple_fixed_inputs)),
               note="complete minimal congruence set by ambient degree"),
-        Check("invariants.z2z2-c6.generator-count", {"action": "z2z2-c6", "degree_bound": 4},
-              17, "paper", lambda r: len(r.z2z2.generators)),
+        Check("invariants.z2z2-c6.generator-count",
+              {"action": "z2z2-c6", "degree_bound": DEGREE_BOUNDS["z2z2-c6"]},
+              17, "paper", lambda r: len(r.generators("z2z2-c6").generators)),
         Check("invariants.torus-triple.fixed-locus.isomorphic-z2z2-c6",
               {"left": "torus-triple fixed locus", "right": "z2z2-c6 invariants"},
-              True, "paper", lambda r: _isomorphic(r.triple_fixed, r.z2z2)),
+              True, "paper", lambda r: _isomorphic(r.fixed_locus(**triple_fixed_inputs),
+                                                   r.generators("z2z2-c6"))),
         # quotient singularities
         Check("singularity.negation-c4.age", {"element": "minus one on C^4"},
               "2", "derived",

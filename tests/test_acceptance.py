@@ -98,10 +98,10 @@ def test_criterion_1_invariant_ring_suite():
         assert profile[(6, (2, 3))] == 64
 
         fixed_pair = fixed_locus_presentation(
-            PAIR, pair, CoordinateInvolution((5, 4, 7, 6, 1, 0, 3, 2))
+            PAIR, pair, CoordinateInvolution((5, 4, 7, 6, 1, 0, 3, 2)), 4
         )
         fixed_triple = fixed_locus_presentation(
-            TRIPLE, triple, CoordinateInvolution((7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4))
+            TRIPLE, triple, CoordinateInvolution((7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4)), 6
         )
         assert len(fixed_pair.generators) == 10
         fdeg = [sum(g) for g in fixed_triple.generators]

@@ -727,6 +727,9 @@ def test_each_derived_row_calls_its_recipe_once(monkeypatch):
         (curves, "riemann_hurwitz_branch"),
         (surfaces, "adjunction_genus"),
         (curves, "solve_unknown_count"),
+        (invariants, "invariant_generators"),
+        (invariants, "toric_relations"),
+        (invariants, "fixed_locus_presentation"),
     ]:
         monkeypatch.setattr(module, name, counted(function_calls, name, getattr(module, name)))
     records = run_section("verify-all", builtin_config())
@@ -743,6 +746,10 @@ def test_each_derived_row_calls_its_recipe_once(monkeypatch):
         "riemann_hurwitz_branch": 3,
         "adjunction_genus": 1,
         "solve_unknown_count": 2,
+        # one per action; z2z2-c6's relations are read by no row
+        "invariant_generators": 4,
+        "toric_relations": 3,
+        "fixed_locus_presentation": 2,
     }
     assert function_calls == per_row
     recipe_calls.clear()
@@ -806,6 +813,26 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert main(["euler", "--config", str(tmp_path)]) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+def test_relation_failure_leaves_the_generator_rows_standing(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(invariants, "binomial_relations", exhausted)
+    records = run_section("invariants", builtin_config())
+    assert len(records) == 18
+    assert [r.name for r in records if r.status == PASS] == [
+        "invariants.torus-pair.generator-count",
+        "invariants.torus-pair.generator-degrees",
+        "invariants.negation-c4.generator-count",
+        "invariants.torus-triple.generator-count",
+        "invariants.torus-triple.generator-degrees",
+        "invariants.z2z2-c6.generator-count",
+    ]
+    failed = [r for r in records if r.status == ERROR]
+    assert len(failed) == 12
+    assert {r.note for r in failed} == {"MemoryError: "}
 
 
 def test_failing_intermediate_is_computed_once(tmp_path, monkeypatch):

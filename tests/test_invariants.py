@@ -468,12 +468,12 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
     # each fixed locus unsigned, as bundled, and with signs that make its
     # generator monomials signed
     triple_signs = (1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1)
-    for action, pres, swap, signs in (
-        (PAIR, pair, SWAP_PAIR, (-1,) * 8),
-        (TRIPLE, triple, SWAP_TRIPLE, triple_signs),
+    for action, pres, swap, signs, bound in (
+        (PAIR, pair, SWAP_PAIR, (-1,) * 8, 4),
+        (TRIPLE, triple, SWAP_TRIPLE, triple_signs, 6),
     ):
-        fixed_locus_presentation(action, pres, swap)
-        fixed_locus_presentation(action, pres, CoordinateInvolution(swap.image, signs))
+        fixed_locus_presentation(action, pres, swap, bound)
+        fixed_locus_presentation(action, pres, CoordinateInvolution(swap.image, signs), bound)
     assert [len(out) for *_, out in calls] == [36, 20, 63, 133, 133, 20, 20, 63, 63]
     assert [signs is not None for _, _, signs, _ in calls] == [False] * 6 + [True, False, True]
     for pres, degree_bound, gen_signs, out in calls:
@@ -608,7 +608,7 @@ def test_toric_relations_rejects_non_invariant_generators():
 
 def test_pair_fixed_locus_is_the_veronese_presentation():
     pair = toric_relations(PAIR, invariant_generators(PAIR, 4), 4)
-    fixed = fixed_locus_presentation(PAIR, pair, SWAP_PAIR)
+    fixed = fixed_locus_presentation(PAIR, pair, SWAP_PAIR, 4)
     assert fixed.ambient_dim == 4
     assert len(fixed.generators) == 10
     assert len(fixed.relations) == 20
@@ -617,7 +617,7 @@ def test_pair_fixed_locus_is_the_veronese_presentation():
 
 
 def test_triple_fixed_locus_generators_and_relations(triple):
-    fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE)
+    fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE, 6)
     assert fixed.ambient_dim == 6
     degrees = [sum(g) for g in fixed.generators]
     assert degrees.count(2) == 9 and degrees.count(3) == 8
@@ -630,7 +630,7 @@ def test_triple_fixed_locus_generators_and_relations(triple):
 
 def test_identity_involution_keeps_presentation():
     pair = toric_relations(PAIR, invariant_generators(PAIR, 4), 4)
-    same = fixed_locus_presentation(PAIR, pair, CoordinateInvolution(tuple(range(8))))
+    same = fixed_locus_presentation(PAIR, pair, CoordinateInvolution(tuple(range(8))), 4)
     assert same == pair
 
 
@@ -641,6 +641,7 @@ def test_non_normalizing_involution_rejected():
             PAIR,
             invariant_generators(PAIR, 4),
             CoordinateInvolution((4, 1, 2, 3, 0, 5, 6, 7)),
+            4,
         )
 
 
@@ -649,7 +650,7 @@ def test_sign_involution_zeroes_fixed_variables():
     action = DiagonalAction(2, (), ((2, (1, 1)),))
     pres = toric_relations(action, invariant_generators(action, 2), 4)
     inv = CoordinateInvolution((0, 1), (-1, 1))
-    fixed = fixed_locus_presentation(action, pres, inv)
+    fixed = fixed_locus_presentation(action, pres, inv, 4)
     assert fixed.ambient_dim == 1
     assert fixed.generators == ((2,),)
     assert fixed.relations == ()
@@ -660,10 +661,10 @@ def test_fixed_locus_rejects_mismatched_dimensions():
     action = DiagonalAction(2, ((1, -3),))
     pres = toric_relations(action, invariant_generators(action, 4), 4)
     with pytest.raises(ToolkitError, match="dimensions differ"):
-        fixed_locus_presentation(action, pres, SWAP_PAIR)
+        fixed_locus_presentation(action, pres, SWAP_PAIR, 4)
     # a matching involution on a presentation of another dimension
     with pytest.raises(ToolkitError, match="dimensions differ"):
-        fixed_locus_presentation(PAIR, pres, SWAP_PAIR)
+        fixed_locus_presentation(PAIR, pres, SWAP_PAIR, 4)
 
 
 def test_involution_must_square_to_identity():
@@ -676,7 +677,7 @@ def test_presentation_without_generators_has_empty_fixed_locus_and_relations():
     action = DiagonalAction(2, ((1, 1),))
     empty = invariant_generators(action, 2)
     assert empty.generators == ()
-    fixed = fixed_locus_presentation(action, empty, CoordinateInvolution((1, 0)))
+    fixed = fixed_locus_presentation(action, empty, CoordinateInvolution((1, 0)), 2)
     assert fixed == MonoidPresentation(1, ())
     assert invariants.within_subset_relation_count(empty, ()) == 0
     assert presentations_isomorphic(empty, empty, ()).degree_bound == 0
@@ -688,7 +689,7 @@ def test_presentation_without_generators_has_empty_fixed_locus_and_relations():
 
 def test_fixed_pair_isomorphic_to_negation_invariants():
     pair = toric_relations(PAIR, invariant_generators(PAIR, 4), 4)
-    fixed = fixed_locus_presentation(PAIR, pair, SWAP_PAIR)
+    fixed = fixed_locus_presentation(PAIR, pair, SWAP_PAIR, 4)
     neg = toric_relations(NEG4, invariant_generators(NEG4, 4), 4)
     result = presentations_isomorphic(fixed, neg, match_generators(fixed, neg))
     assert result.isomorphic
@@ -698,7 +699,7 @@ def test_fixed_pair_isomorphic_to_negation_invariants():
 
 
 def test_fixed_triple_isomorphic_to_z2z2_invariants(triple):
-    fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE)
+    fixed = fixed_locus_presentation(TRIPLE, triple, SWAP_TRIPLE, 6)
     z = toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
     result = presentations_isomorphic(fixed, z, match_generators(fixed, z))
     assert result.isomorphic
