@@ -352,11 +352,14 @@ def binomial_relations(
     The pass for generator i of degree d extends layer e + d from layer e,
     for e = 0 .. bound - d, by one precomputed addition, which also sets
     bit i on the members older than the pass, and an xor of the sign bit
-    when i has sign -1; no member passes the bound.  Within a layer numeric
-    order is (ambient lex descending, sign, count, vector): the fibers in
-    output order, each with its members ascending by (degree, vector).  So
-    one sort per layer lays out its fibers in turn, components are joined
-    on the support masks, and the first member to meet one is its least.
+    when i has sign -1; no member passes the bound.  One dict pass per layer
+    ORs the masks of each fiber key m >> sign and flags a fiber when a
+    member meets none of the masks before it, which every split fiber does:
+    a member outside the first member's component shares no generator with
+    it.  Only flagged members are sorted.  Numeric order (ambient lex
+    descending, sign, count, vector) lays them out fiber by fiber in output
+    order, each ascending by (degree, vector): components are joined on the
+    masks, the first to meet one is its least; a connected fiber emits none.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
@@ -388,8 +391,12 @@ def binomial_relations(
         sizes = [len(layer) for layer in layers]
         for e in range(degree_bound - d + 1):
             layer, old = layers[e], sizes[e]
-            layers[e + d] += [m + step ^ flip for m in layer[:old]]
-            layers[e + d] += [m + add ^ flip for m in layer[old:]]
+            if flip:
+                layers[e + d] += [m + step ^ flip for m in layer[:old]]
+                layers[e + d] += [m + add ^ flip for m in layer[old:]]
+            else:
+                layers[e + d] += [m + step for m in layer[:old]]
+                layers[e + d] += [m + add for m in layer[old:]]
 
     def unpack(member):
         vector, mask = [0] * k, member & full
@@ -400,12 +407,17 @@ def binomial_relations(
         return tuple(vector)
 
     relations = []
-    for layer in layers:
-        layer.sort()
-        for _, fiber in groupby(layer, sign.__rrshift__):
+    for layer in layers[1:]:  # layer 0 holds the unit alone
+        unions, split = {}, set()  # fiber key -> OR of its masks so far
+        for m in layer:
+            key, mask = m >> sign, m & full
+            union = unions.get(key, mask)
+            if not union & mask:
+                split.add(key)
+            unions[key] = union | mask
+        flagged = sorted(m for m in layer if m >> sign in split) if split else ()
+        for _, fiber in groupby(flagged, sign.__rrshift__):
             first, *others = fiber
-            if not others:
-                continue
             components = [first & full]  # the disjoint support masks
             for m in others:
                 mask, rest = m & full, []

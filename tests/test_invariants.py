@@ -553,6 +553,21 @@ def test_layered_members_match_the_closure_in_any_generator_order():
     assert binomial_relations(square, 3) == ()
 
 
+def test_a_flagged_fiber_that_is_connected_emits_nothing():
+    # the fiber xy^2 is built as x * y^2, xy * y and x * y * y: the second
+    # member shares no generator with the first and flags the fiber, and the
+    # third joins both, so only x * y = xy and y * y = y^2 are related
+    pres = MonoidPresentation(2, ((1, 0), (1, 1), (0, 2), (0, 1)))
+    assert binomial_relations(pres, 3) == (
+        ((0, 1, 0, 0), (1, 0, 0, 1)),
+        ((0, 0, 1, 0), (0, 0, 0, 2)),
+    )
+    for bound in range(-1, 9):
+        for signs in [None] + list(product((1, -1), repeat=4)):
+            got = binomial_relations(pres, bound, signs)
+            assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+
+
 def test_malformed_generator_signs_are_rejected():
     pres = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
     for signs in ((1,), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5)):
