@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
+from operator import mul
 
 from .errors import InvolutionError, NonSaturationError, Record, ToolkitError
 
@@ -66,7 +67,8 @@ class MonoidPresentation(Record):
     """Monomial generators plus binomial relations over the generator set.
 
     A relation is a pair (u, v) of exponent vectors over the generator index
-    set whose ambient expansions agree.  Relations may be empty for a
+    set whose ambient expansions agree, checked once here: a later relation
+    statistic reads generator degrees.  Relations may be empty for a
     generators-only presentation.
     """
 
@@ -448,9 +450,11 @@ def toric_relations(
 
 
 def relation_profile(pres: MonoidPresentation) -> dict:
-    """Histogram of relations keyed by (ambient degree, sorted side degrees)."""
-    keys = ((sum(pres.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in pres.relations)
-    return dict(Counter(keys))
+    """Histogram of relations keyed by (ambient degree, sorted side degrees);
+    expansion is linear, so the ambient degree is sum(u_i * deg g_i)."""
+    degrees = [sum(g) for g in pres.generators]
+    return dict(Counter((sum(map(mul, u, degrees)), tuple(sorted((sum(u), sum(v)))))
+                        for u, v in pres.relations))
 
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:

@@ -103,18 +103,7 @@ def render_json(report: VerificationReport) -> str:
         "version": report.version,
         "mode": report.mode,
         "config": report.config_label,
-        "checks": [
-            {
-                "name": r.name,
-                "inputs": _plain(r.inputs),
-                "expected": _plain(r.expected),
-                "provenance": r.provenance,
-                "computed": _plain(r.computed),
-                "status": r.status,
-                "note": r.note,
-            }
-            for r in report.checks
-        ],
+        "checks": [_plain(r.asdict()) for r in report.checks],
         "summary": report.summary(),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

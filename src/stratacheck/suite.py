@@ -17,6 +17,7 @@ cubic ledger derives to 936 against the reference 864.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 
 from . import curves, invariants, ledger, lines27, singularities, surfaces
 from .config import ConfigDocument
@@ -155,14 +156,17 @@ def _degree_histogram(pres):
 
 
 def _ambient_relation_histogram(pres):
-    return dict(Counter(sum(pres.expand(u)) for u, _ in pres.relations))
+    """Relations by ambient degree: the totals of ``invariants.relation_profile``."""
+    totals = Counter()
+    for (degree, _), count in invariants.relation_profile(pres).items():
+        totals[degree] += count
+    return dict(totals)
 
 
 def _are_minor_swaps(pres):
-    """Both sides of every relation are products of two generators swapping
-    their ambient factors."""
-    return all(sum(u) == 2 and sum(v) == 2 and pres.expand(u) == pres.expand(v)
-               for u, v in pres.relations)
+    """Both sides of every relation are products of two generators; the
+    presentation proved them equal, so each swaps two products' factors."""
+    return all(sum(u) == sum(v) == 2 for u, v in pres.relations)
 
 
 def _triple_reference_families(triple):

@@ -835,6 +835,35 @@ def test_relation_failure_leaves_the_generator_rows_standing(monkeypatch):
     assert {r.note for r in failed} == {"MemoryError: "}
 
 
+def test_a_relation_that_is_no_identity_errors_its_rows(monkeypatch):
+    # only building the presentation checks that a relation's sides expand
+    # alike; no row may PASS on a relation that skipped that proof
+    def broken(pres, degree_bound, gen_signs=None):
+        k = len(pres.generators)
+        return (tuple(int(i == 0) for i in range(k)), tuple(int(i == 1) for i in range(k))),
+
+    monkeypatch.setattr(invariants, "binomial_relations", broken)
+    by_name = {r.name: r for r in run_section("invariants", builtin_config())}
+    for name in ("relation-count", "relations-are-minor-swaps"):
+        record = by_name[f"invariants.torus-pair.{name}"]
+        assert record.status == ERROR
+        assert "does not expand to an identity" in record.note
+
+
+def test_only_building_a_presentation_expands_a_relation(monkeypatch):
+    # every relation statistic reads generator degrees; expand runs twice
+    # per relation of the five presentations that carry relations
+    expand, callers = invariants.MonoidPresentation.expand, Counter()
+
+    def counted(pres, genexp):
+        callers[sys._getframe(1).f_code] += 1
+        return expand(pres, genexp)
+
+    monkeypatch.setattr(invariants.MonoidPresentation, "expand", counted)
+    run_section("verify-all", builtin_config())
+    assert callers == {invariants.MonoidPresentation.__post_init__.__code__: 544}
+
+
 def test_failing_intermediate_is_computed_once(tmp_path, monkeypatch):
     calls = []
     generators = invariants.invariant_generators

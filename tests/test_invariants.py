@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -506,6 +507,12 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
         assert unsigned == closure_relations(pres, bound), (pres, bound)
         assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
         signed_differ += signed != unsigned
+        for relations in (unsigned, signed):
+            # the profile reads degrees; its definition expands each relation
+            full = MonoidPresentation(pres.ambient_dim, pres.generators, relations)
+            assert relation_profile(full) == Counter(
+                (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in relations
+            ), (pres, relations)
     assert signed_differ > 50
 
 

@@ -1,7 +1,13 @@
 """The frozen record base, exercised through the toolkit's own value types."""
 
+import importlib
+import inspect
+import pkgutil
+import typing
+
 import pytest
 
+import stratacheck
 from stratacheck.errors import LedgerError, Record
 from stratacheck.invariants import DiagonalAction, MonoidPresentation
 from stratacheck.ledger import FiberPointChecks, StratumEntry, paper_ledger
@@ -104,3 +110,25 @@ def test_asdict_lists_the_fields_in_order():
         "provenance": "paper", "recipe": "", "description": "",
     }
     assert list(entry.asdict()) == list(StratumEntry.__annotations__)
+
+
+def test_every_annotation_of_every_module_resolves():
+    # the modules postpone their annotations, so a name used only in one
+    # (say Callable) raises NameError only when the hints are resolved
+    unresolved = []
+    for info in pkgutil.iter_modules(stratacheck.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"stratacheck.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            targets = [obj] if inspect.isclass(obj) or inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                targets += [m for m in vars(obj).values() if inspect.isfunction(m)]
+            for target in targets:
+                try:
+                    typing.get_type_hints(target)
+                except Exception as exc:
+                    unresolved.append(f"{module.__name__}.{target.__qualname__}: {exc!r}")
+    assert unresolved == []
