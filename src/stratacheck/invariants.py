@@ -505,20 +505,16 @@ def _check_normalizes(
             )
 
 
-def fixed_locus_presentation(
-    action: DiagonalAction,
-    pres: MonoidPresentation,
-    inv: CoordinateInvolution,
-    degree_bound: int,
-) -> MonoidPresentation:
-    """Presentation induced on the fixed locus of a normalizing involution.
+def fixed_locus_generators(
+    action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution
+) -> tuple:
+    """Generators induced on the fixed locus of a normalizing involution, as
+    a generators-only presentation, and their signs: None when all are +1.
 
     The fixed locus of the substitution is cut out by identifying each
     variable with (sign times) its image; generators are rewritten in one
-    representative variable per orbit, duplicates merge, and the relations
-    are computed by ``binomial_relations`` in the reduced variables, up to
-    ambient degree ``degree_bound``.  Only the generators of ``pres`` are
-    read, so a generators-only presentation serves.
+    representative variable per orbit, and duplicates merge.  Only the
+    generators of ``pres`` are read, so a generators-only presentation serves.
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
@@ -552,10 +548,17 @@ def fixed_locus_presentation(
 
     new_gens = sorted(reduced, key=_grlex_key)
     signs = tuple(reduced[g] for g in new_gens)
-    base = MonoidPresentation(len(reps), tuple(new_gens), ())
-    gen_signs = signs if any(s < 0 for s in signs) else None
+    return MonoidPresentation(len(reps), tuple(new_gens), ()), (signs if -1 in signs else None)
+
+
+def fixed_locus_presentation(
+    action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution, degree_bound: int
+) -> MonoidPresentation:
+    """``fixed_locus_generators`` with the relations of ``binomial_relations``
+    in the reduced variables, up to ambient degree ``degree_bound``."""
+    base, gen_signs = fixed_locus_generators(action, pres, inv)
     rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)
-    return MonoidPresentation(len(reps), tuple(new_gens), rels)
+    return MonoidPresentation(base.ambient_dim, base.generators, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -72,22 +72,16 @@ def _formula(name, inputs, expected, provenance, fn, note=""):
     }), note)
 
 
-def _shared(compute):
-    """A property computed once per run, through ``_Run.once``."""
-    return property(lambda run: run.once(compute, lambda: compute(run)))
-
-
 class _Run:
-    """The battery's rows and the intermediates several rows share, each
-    computed once on first use.
+    """The battery's rows and the steps they share; each step computes one
+    fact, once, on first use.
 
-    An invariant ring is three steps keyed by action, each up to the action's
-    bound in ``DEGREE_BOUNDS``: its generators, their relations, and the
-    presentation of a fixed locus, which reads the same generators.  A row
-    reads only the step it needs.  An exception raised while computing one
-    reaches every row that reads it, inside that row's guarded call, and
-    every later step that reads it: a relation failure leaves the generator
-    rows standing.
+    An invariant ring is two steps keyed by action, and a fixed locus two
+    keyed by action and involution: generators, then their relations up to
+    the action's bound in ``DEGREE_BOUNDS``; a fixed locus reads the ring's
+    generators.  A row reads only the step it needs.  An exception raised in
+    a step reaches every row and later step that reads it, inside the row's
+    guarded call: a relation failure leaves the generator rows standing.
     """
 
     def __init__(self, config: ConfigDocument, rows: list[Check]):
@@ -125,23 +119,31 @@ class _Run:
             self.config.require("actions", action), self.generators(action),
             DEGREE_BOUNDS[action]))
 
-    def fixed_locus(self, action, involution):
-        return self.once(("fixed-locus", action, involution), lambda: (
-            invariants.fixed_locus_presentation(
+    def fixed_generators(self, action, involution):
+        return self.once(("fixed-generators", action, involution), lambda: (
+            invariants.fixed_locus_generators(
                 self.config.require("actions", action), self.generators(action),
-                self.config.require("involutions", involution), DEGREE_BOUNDS[action])))
+                self.config.require("involutions", involution))))
 
-    @_shared
+    def fixed_relations(self, action, involution):
+        def attach():
+            gens, signs = self.fixed_generators(action, involution)
+            rels = invariants.binomial_relations(gens, DEGREE_BOUNDS[action], signs)
+            return invariants.MonoidPresentation(gens.ambient_dim, gens.generators, rels)
+        return self.once(("fixed-relations", action, involution), attach)
+
+    def lines(self):
+        return self.once(("lines",), lines27.build_configuration)
+
+    def line_counts(self):
+        return self.once(("line-counts",), lambda: (
+            lines27.dual_stratification_counts(self.lines())))
+
+    def fiber_checks(self):
+        return self.once(("fiber-checks",), ledger.fiber_point_checks)
+
     def curve_square(self):
         return self.config.require("bases", "curve-square")
-
-    @_shared
-    def lines(self):
-        return lines27.build_configuration()
-
-    @_shared
-    def line_counts(self):
-        return lines27.dual_stratification_counts(self.lines)
 
     def group(self, name):
         return self.config.require("groups", name)
@@ -199,12 +201,8 @@ def _isomorphic(a, b):
     return a.ambient_dim == b.ambient_dim and sorted(a.generators) == sorted(b.generators)
 
 
-def _class(group):
-    return singularities.classify_quotient(group).value
-
-
-def _verdict(group):
-    cls = singularities.classify_quotient(group)
+def _verdict(run, group):
+    cls = run.value(f"singularity.{group}.class")
     return singularities.symplectic_resolution_verdict(cls).verdict
 
 
@@ -264,94 +262,92 @@ def _battery(config: ConfigDocument) -> list[Check]:
     cubic = config.require("ledgers", "cubic")
     degree2 = config.require("ledgers", "degree2")
     families_note = "sizes of the structured reference families"
-    pair_inputs = {"action": "torus-pair", "degree_bound": DEGREE_BOUNDS["torus-pair"]}
-    neg4_inputs = {"action": "negation-c4", "degree_bound": DEGREE_BOUNDS["negation-c4"]}
-    triple_inputs = {"action": "torus-triple", "degree_bound": DEGREE_BOUNDS["torus-triple"]}
-    pair_fixed_inputs = {"action": "torus-pair", "involution": "swap-pair"}
-    triple_fixed_inputs = {"action": "torus-triple", "involution": "swap-triple"}
+    ring = {action: {"action": action, "degree_bound": bound}
+            for action, bound in DEGREE_BOUNDS.items()}
+    pair_fixed = {"action": "torus-pair", "involution": "swap-pair"}
+    triple_fixed = {"action": "torus-triple", "involution": "swap-triple"}
     rows = [
         # invariant rings
-        Check("invariants.torus-pair.generator-count", pair_inputs,
+        Check("invariants.torus-pair.generator-count", ring["torus-pair"],
               16, "paper", lambda r: len(r.generators("torus-pair").generators)),
         Check("invariants.torus-pair.generator-degrees", {"action": "torus-pair"},
               {2: 16}, "paper", lambda r: _degree_histogram(r.generators("torus-pair"))),
-        Check("invariants.torus-pair.relation-count", pair_inputs,
+        Check("invariants.torus-pair.relation-count", ring["torus-pair"],
               36, "derived", lambda r: len(r.relations("torus-pair").relations),
               note="one two-by-two minor identity per pair of rows and columns"),
         Check("invariants.torus-pair.relations-are-minor-swaps", {"action": "torus-pair"},
               True, "derived", lambda r: _are_minor_swaps(r.relations("torus-pair"))),
-        Check("invariants.negation-c4.generator-count", neg4_inputs,
+        Check("invariants.negation-c4.generator-count", ring["negation-c4"],
               10, "paper", lambda r: len(r.generators("negation-c4").generators)),
-        Check("invariants.negation-c4.relation-count", neg4_inputs,
+        Check("invariants.negation-c4.relation-count", ring["negation-c4"],
               20, "derived", lambda r: len(r.relations("negation-c4").relations),
               note="pair swaps of quadratic monomial factorizations"),
-        Check("invariants.torus-triple.generator-count", triple_inputs,
+        Check("invariants.torus-triple.generator-count", ring["torus-triple"],
               28, "paper", lambda r: len(r.generators("torus-triple").generators)),
         Check("invariants.torus-triple.generator-degrees", {"action": "torus-triple"},
               {2: 12, 3: 16}, "paper",
               lambda r: _degree_histogram(r.generators("torus-triple"))),
-        Check("invariants.torus-triple.relation-families", triple_inputs,
+        Check("invariants.torus-triple.relation-families", ring["torus-triple"],
               {"quadratic-blocks": 3, "within-letter-cubics": 18,
                "cross-letter-cubics": 64},
               "paper", lambda r: _triple_reference_families(r.relations("torus-triple")),
               note=families_note),
-        Check("invariants.torus-triple.relation-profile", triple_inputs,
-              {"(4, (2, 2))": 3, "(5, (2, 2))": 48, "(6, (2, 2))": 18,
-               "(6, (2, 3))": 64},
-              "derived",
-              lambda r: {str(k): v for k, v in sorted(
-                  invariants.relation_profile(r.relations("torus-triple")).items())},
+        Check("invariants.torus-triple.relation-profile", ring["torus-triple"],
+              {(4, (2, 2)): 3, (5, (2, 2)): 48, (6, (2, 2)): 18, (6, (2, 3)): 64},
+              "derived", lambda r: invariants.relation_profile(r.relations("torus-triple")),
               note="complete minimal congruence set; the 48 mixed quadratic-cubic "
               "swaps of ambient degree 5 are indispensable but not part of the "
               "reference families"),
-        Check("invariants.torus-pair.fixed-locus.generator-count", pair_fixed_inputs,
-              10, "paper", lambda r: len(r.fixed_locus(**pair_fixed_inputs).generators)),
+        Check("invariants.torus-pair.fixed-locus.generator-count", pair_fixed,
+              10, "paper", lambda r: len(r.fixed_generators(**pair_fixed)[0].generators)),
         Check("invariants.torus-pair.fixed-locus.isomorphic-negation-c4",
               {"left": "torus-pair fixed locus", "right": "negation-c4 invariants"},
-              True, "paper", lambda r: _isomorphic(r.fixed_locus(**pair_fixed_inputs),
+              True, "paper", lambda r: _isomorphic(r.fixed_generators(**pair_fixed)[0],
                                                    r.generators("negation-c4"))),
-        Check("invariants.torus-triple.fixed-locus.generator-count", triple_fixed_inputs,
-              17, "paper", lambda r: len(r.fixed_locus(**triple_fixed_inputs).generators)),
-        Check("invariants.torus-triple.fixed-locus.generator-degrees", triple_fixed_inputs,
+        Check("invariants.torus-triple.fixed-locus.generator-count", triple_fixed,
+              17, "paper", lambda r: len(r.fixed_generators(**triple_fixed)[0].generators)),
+        Check("invariants.torus-triple.fixed-locus.generator-degrees", triple_fixed,
               {2: 9, 3: 8}, "paper",
-              lambda r: _degree_histogram(r.fixed_locus(**triple_fixed_inputs))),
-        Check("invariants.torus-triple.fixed-locus.relation-families", triple_fixed_inputs,
+              lambda r: _degree_histogram(r.fixed_generators(**triple_fixed)[0])),
+        Check("invariants.torus-triple.fixed-locus.relation-families", triple_fixed,
               {"block-squares": 3, "cubic-pair-products": 36}, "paper",
               lambda r: {
                   "block-squares": _ambient_relation_histogram(
-                      r.fixed_locus(**triple_fixed_inputs)).get(4, 0),
+                      r.fixed_relations(**triple_fixed)).get(4, 0),
                   "cubic-pair-products": invariants.cubic_quadratic_matchings(
-                      r.fixed_locus(**triple_fixed_inputs)),
+                      r.fixed_relations(**triple_fixed)),
               },
               note=families_note),
-        Check("invariants.torus-triple.fixed-locus.relation-profile", triple_fixed_inputs,
+        Check("invariants.torus-triple.fixed-locus.relation-profile", triple_fixed,
               {4: 3, 5: 24, 6: 36}, "derived",
-              lambda r: _ambient_relation_histogram(r.fixed_locus(**triple_fixed_inputs)),
+              lambda r: _ambient_relation_histogram(r.fixed_relations(**triple_fixed)),
               note="complete minimal congruence set by ambient degree"),
-        Check("invariants.z2z2-c6.generator-count",
-              {"action": "z2z2-c6", "degree_bound": DEGREE_BOUNDS["z2z2-c6"]},
+        Check("invariants.z2z2-c6.generator-count", ring["z2z2-c6"],
               17, "paper", lambda r: len(r.generators("z2z2-c6").generators)),
         Check("invariants.torus-triple.fixed-locus.isomorphic-z2z2-c6",
               {"left": "torus-triple fixed locus", "right": "z2z2-c6 invariants"},
-              True, "paper", lambda r: _isomorphic(r.fixed_locus(**triple_fixed_inputs),
+              True, "paper", lambda r: _isomorphic(r.fixed_generators(**triple_fixed)[0],
                                                    r.generators("z2z2-c6"))),
         # quotient singularities
         Check("singularity.negation-c4.age", {"element": "minus one on C^4"},
               "2", "derived",
               lambda r: str(singularities.age(r.group("negation-c4").generators[0]))),
         Check("singularity.negation-c4.class", {"group": "negation-c4"},
-              "terminal", "paper", lambda r: _class(r.group("negation-c4"))),
+              "terminal", "paper",
+              lambda r: singularities.classify_quotient(r.group("negation-c4"))),
         Check("singularity.negation-c4.resolution-verdict", {"group": "negation-c4"},
               singularities.NO_SYMPLECTIC_RESOLUTION, "paper",
-              lambda r: _verdict(r.group("negation-c4"))),
+              lambda r: _verdict(r, "negation-c4")),
         Check("singularity.z2z2-c6.class", {"group": "z2z2-c6"},
-              "terminal", "derived", lambda r: _class(r.group("z2z2-c6")),
+              "terminal", "derived",
+              lambda r: singularities.classify_quotient(r.group("z2z2-c6")),
               note="each of the three involutions negates four coordinates, age 2"),
         Check("singularity.z2z2-c6.resolution-verdict", {"group": "z2z2-c6"},
               singularities.NO_SYMPLECTIC_RESOLUTION, "paper",
-              lambda r: _verdict(r.group("z2z2-c6"))),
+              lambda r: _verdict(r, "z2z2-c6")),
         Check("singularity.negation-c2.class", {"group": "negation-c2"},
-              "canonical_not_terminal", "trivial", lambda r: _class(r.group("negation-c2"))),
+              "canonical_not_terminal", "trivial",
+              lambda r: singularities.classify_quotient(r.group("negation-c2"))),
         # plane-curve arithmetic
         _formula("pluecker.nodal-sextic.dual-degree", {"d": 6, "delta": 6, "kappa": 0},
                  18, "paper", curves.pluecker_dual_degree),
@@ -392,33 +388,34 @@ def _battery(config: ConfigDocument) -> list[Check]:
                  108, "paper", curves.riemann_hurwitz_branch),
         # surface intersection arithmetic
         Check("intersect.diagonal-self", {"basis": "curve-square"},
-              -6, "paper", lambda r: _self_intersection(r.curve_square, "diag")),
+              -6, "paper", lambda r: _self_intersection(r.curve_square(), "diag")),
         Check("intersect.ruling-self", {"basis": "curve-square"},
-              0, "paper", lambda r: _self_intersection(r.curve_square, "f1")),
+              0, "paper", lambda r: _self_intersection(r.curve_square(), "f1")),
         Check("intersect.bidegree-restriction", {"p": 1, "q": 2, "hyperplane_degree": 6},
               (12, 6, 0), "paper",
-              lambda r: surfaces.bidegree_class(r.curve_square, 1, 2, 6).coefficients),
+              lambda r: surfaces.bidegree_class(r.curve_square(), 1, 2, 6).coefficients),
         Check("intersect.adjoint-product",
               {"tangency": "12f1+6f2-2diag", "canonical": "6f1+6f2"},
-              132, "paper", lambda r: surfaces.tangency_adjoint_degree(r.curve_square),
+              132, "paper", lambda r: surfaces.tangency_adjoint_degree(r.curve_square()),
               note="needs diag.f1 = diag.f2 = 1; the recorded zero pairing "
               "cannot reproduce 132"),
         _formula("intersect.adjunction-genus", {"canonical_degree": "intersect.adjoint-product"},
                  67, "paper", surfaces.adjunction_genus),
         # the 27 lines
-        Check("lines27.line-count", {}, 27, "paper", lambda r: len(r.lines.lines)),
+        Check("lines27.line-count", {}, 27, "paper", lambda r: len(r.lines().lines)),
         Check("lines27.regular-degrees", {}, [10], "derived",
-              lambda r: sorted({len(near) for near in r.lines.neighbours})),
-        Check("lines27.tritangent-count", {}, 45, "paper", lambda r: len(r.lines.planes)),
+              lambda r: sorted({len(near) for near in r.lines().neighbours})),
+        Check("lines27.tritangent-count", {}, 45, "paper", lambda r: len(r.lines().planes)),
         Check("lines27.tritangent-type-counts", {}, {"EGF": 30, "FFF": 15}, "derived",
-              lambda r: lines27.tritangent_type_counts(r.lines)),
+              lambda r: lines27.tritangent_type_counts(r.lines())),
         Check("lines27.triples-per-line", {}, 5, "paper",
-              lambda r: r.line_counts.triples_per_line),
+              lambda r: r.line_counts().triples_per_line),
         Check("lines27.lines-per-triple", {}, 3, "paper",
-              lambda r: r.line_counts.lines_per_triple),
+              lambda r: r.line_counts().lines_per_triple),
         Check("lines27.double-count-identity", {}, (135, 135), "trivial",
-              lambda r: (r.line_counts.dual_line_count * r.line_counts.triples_per_line,
-                         r.line_counts.triple_point_count * r.line_counts.lines_per_triple)),
+              lambda r: (
+                  r.line_counts().dual_line_count * r.line_counts().triples_per_line,
+                  r.line_counts().triple_point_count * r.line_counts().lines_per_triple)),
         # Euler characteristic ledgers
         Check("euler.pencil-nodal-members",
               {"total_chi": 12, "fiber_chi": 1, "smooth_chi": 0},
@@ -439,11 +436,10 @@ def _battery(config: ConfigDocument) -> list[Check]:
                   "dual_branch_curve": "cover.sextic-pencil-branch"},
                  30, "paper", lambda **degrees: sum(degrees.values())),
         Check("euler.doubling-solutions", {"torsion_model": "(Z/4)^2"},
-              {"(0, 0)": 4, "(0, 2)": 4, "(2, 0)": 4, "(2, 2)": 4}, "derived",
-              lambda r: {str(q): c for q, c in
-                         ledger.fiber_point_checks().doubling_preimage_counts}),
+              {(0, 0): 4, (0, 2): 4, (2, 0): 4, (2, 2): 4}, "derived",
+              lambda r: dict(r.fiber_checks().doubling_preimage_counts)),
         Check("euler.s-equivalence-classes", {"degrees": (0, 1, -1, 2, -2)},
-              3, "paper", lambda r: ledger.fiber_point_checks().s_equivalence_class_count),
+              3, "paper", lambda r: r.fiber_checks().s_equivalence_class_count),
     ]
 
     def discrepancy_note(r, label):
@@ -451,7 +447,7 @@ def _battery(config: ConfigDocument) -> list[Check]:
         found = {d.label: d for d in ledger.discrepancy_report(cubic, derived)}
         return (
             f"cause: {found[label].cause}; ledger totals: reference "
-            f"{ledger.total_chi(cubic)}, derived {ledger.total_chi(derived)}"
+            f"{r.value('euler.cubic-ledger-total')}, derived {ledger.total_chi(derived)}"
         )
 
     # each derivable cubic row against its derivation: agreeing cases first,

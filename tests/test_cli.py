@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratacheck import __version__, curves, errors, invariants, suite, surfaces
+from stratacheck import __version__, curves, errors, invariants, singularities, suite, surfaces
 from stratacheck.cli import main
 from stratacheck.config import builtin_config, load_config, parse_config
 from stratacheck.curves import riemann_hurwitz_branch
@@ -729,7 +729,8 @@ def test_each_derived_row_calls_its_recipe_once(monkeypatch):
         (curves, "solve_unknown_count"),
         (invariants, "invariant_generators"),
         (invariants, "toric_relations"),
-        (invariants, "fixed_locus_presentation"),
+        (invariants, "fixed_locus_generators"),
+        (singularities, "classify_quotient"),
     ]:
         monkeypatch.setattr(module, name, counted(function_calls, name, getattr(module, name)))
     records = run_section("verify-all", builtin_config())
@@ -749,7 +750,9 @@ def test_each_derived_row_calls_its_recipe_once(monkeypatch):
         # one per action; z2z2-c6's relations are read by no row
         "invariant_generators": 4,
         "toric_relations": 3,
-        "fixed_locus_presentation": 2,
+        "fixed_locus_generators": 2,
+        # one per class row, which its verdict row reads
+        "classify_quotient": 3,
     }
     assert function_calls == per_row
     recipe_calls.clear()
@@ -828,11 +831,31 @@ def test_relation_failure_leaves_the_generator_rows_standing(monkeypatch):
         "invariants.negation-c4.generator-count",
         "invariants.torus-triple.generator-count",
         "invariants.torus-triple.generator-degrees",
+        "invariants.torus-pair.fixed-locus.generator-count",
+        "invariants.torus-pair.fixed-locus.isomorphic-negation-c4",
+        "invariants.torus-triple.fixed-locus.generator-count",
+        "invariants.torus-triple.fixed-locus.generator-degrees",
         "invariants.z2z2-c6.generator-count",
+        "invariants.torus-triple.fixed-locus.isomorphic-z2z2-c6",
     ]
     failed = [r for r in records if r.status == ERROR]
-    assert len(failed) == 12
+    assert len(failed) == 7
     assert {r.note for r in failed} == {"MemoryError: "}
+
+
+def test_verdict_failure_names_the_class_row_it_read(tmp_path):
+    # a quasi-reflection fails the class row; the verdict row reads that
+    # row's value and so names it
+    reflection = {"generators": [{"order": 2, "exponents": [1, 0, 0, 0]}]}
+    by_name = _run_with(tmp_path, {"groups": {"negation-c4": reflection}}, "singularity")
+    cls = by_name["singularity.negation-c4.class"]
+    verdict = by_name["singularity.negation-c4.resolution-verdict"]
+    assert cls.status == verdict.status == ERROR
+    assert cls.note.startswith("QuasiReflectionError: ")
+    assert verdict.note.startswith(
+        "ToolkitError: singularity.negation-c4.class: QuasiReflectionError"
+    )
+    assert verdict.note.endswith(cls.note)
 
 
 def test_a_relation_that_is_no_identity_errors_its_rows(monkeypatch):
@@ -852,7 +875,8 @@ def test_a_relation_that_is_no_identity_errors_its_rows(monkeypatch):
 
 def test_only_building_a_presentation_expands_a_relation(monkeypatch):
     # every relation statistic reads generator degrees; expand runs twice
-    # per relation of the five presentations that carry relations
+    # per relation of the four presentations that carry relations; no row
+    # reads torus-pair's fixed-locus relations, so none are built
     expand, callers = invariants.MonoidPresentation.expand, Counter()
 
     def counted(pres, genexp):
@@ -861,7 +885,7 @@ def test_only_building_a_presentation_expands_a_relation(monkeypatch):
 
     monkeypatch.setattr(invariants.MonoidPresentation, "expand", counted)
     run_section("verify-all", builtin_config())
-    assert callers == {invariants.MonoidPresentation.__post_init__.__code__: 544}
+    assert callers == {invariants.MonoidPresentation.__post_init__.__code__: 504}
 
 
 def test_failing_intermediate_is_computed_once(tmp_path, monkeypatch):
