@@ -64,21 +64,29 @@ class DiagonalAction(Record):
 
 
 class MonoidPresentation(Record):
-    """Monomial generators plus binomial relations over the generator set.
+    """Signed monomial generators plus binomial relations over the generator set.
 
-    A relation is a pair (u, v) of exponent vectors over the generator index
-    set whose ambient expansions agree, checked once here: a later relation
-    statistic reads generator degrees.  Relations may be empty for a
-    generators-only presentation.
+    ``signs`` holds one +1 or -1 per generator, None when all are +1.  A
+    relation is a pair (u, v) of exponent vectors over the generator index
+    set whose ambient expansions and signs agree, checked once here: a later
+    relation statistic reads generator degrees.  Relations may be empty for
+    a generators-only presentation.
     """
 
     ambient_dim: int
     generators: tuple[tuple[int, ...], ...]
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         gens = tuple(tuple(g) for g in self.generators)
         rels = tuple((tuple(u), tuple(v)) for u, v in self.relations)
+        odd = ()  # the -1 generators: a side's sign is (-1)^(its exponent sum on them)
+        if self.signs is not None:
+            if len(self.signs) != len(gens) or any(s not in (1, -1) for s in self.signs):
+                raise ToolkitError("signs must hold one +1 or -1 per generator")
+            odd = tuple(i for i, s in enumerate(self.signs) if s == -1)
+            object.__setattr__(self, "signs", tuple(self.signs) if odd else None)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relations", rels)
         seen = set()
@@ -97,7 +105,7 @@ class MonoidPresentation(Record):
                 raise ToolkitError("relation side has wrong generator count")
             if min(u + v, default=0) < 0:
                 raise ToolkitError(f"relation {u} = {v} has a negative exponent")
-            if self.expand(u) != self.expand(v):
+            if self.expand(u) != self.expand(v) or odd and sum(u[i] - v[i] for i in odd) % 2:
                 raise ToolkitError(f"relation {u} = {v} does not expand to an identity")
 
     def expand(self, genexp) -> tuple[int, ...]:
@@ -318,7 +326,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
             )
         kept.append(v)
     generators = sorted((m for v in kept for m in expansions(v)), key=_grlex_key)
-    return MonoidPresentation(action.ambient_dim, tuple(generators), ())
+    return MonoidPresentation(action.ambient_dim, tuple(generators), (), None)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +339,15 @@ def _twice_top_degree(generators) -> int:
     return 2 * max((sum(g) for g in generators), default=0)
 
 
-def binomial_relations(
-    pres: MonoidPresentation, degree_bound: int, gen_signs=None
-) -> tuple:
+def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     """Minimal generating set of binomial relations up to an ambient degree.
 
     The generator monomials up to the bound fall into expansion fibers,
-    keyed by ambient monomial and, with ``gen_signs`` (one +1 or -1 per
-    generator), by sign.  In each fiber, members that share a generator are
-    joined; the least member of each component, by (degree, vector),
-    represents it, and the first representative is related to each of the
-    others.  Fibers come in grlex order of their ambient monomial, + first.
+    keyed by ambient monomial and, with ``pres.signs``, by sign.  In each
+    fiber, members that share a generator are joined; the least member of
+    each component, by (degree, vector), represents it, and the first
+    representative is related to each of the others.  Fibers come in grlex
+    order of their ambient monomial, + first.
 
     The generator monomials live in one list per ambient degree, 0 to the
     bound.  Each is one integer of w-bit digits, with w =
@@ -375,9 +381,7 @@ def binomial_relations(
     apart: each returned relation is needed, and together they connect
     every fiber.  No state carries from one fiber to the next.
     """
-    k, n = len(pres.generators), pres.ambient_dim
-    if gen_signs is not None and [abs(s) for s in gen_signs] != [1] * k:
-        raise ToolkitError("gen_signs must hold one +1 or -1 per generator")
+    k, n, signs = len(pres.generators), pres.ambient_dim, pres.signs
     w = max(degree_bound, 1).bit_length()
     count = k + w * k  # the places of the fields, from the bottom up
     sign, ambient = count + w, count + w + 1
@@ -388,7 +392,7 @@ def binomial_relations(
         d = sum(g)
         amb = sum(e << w * (n - 1 - j) for j, e in enumerate(g))
         add = (1 << count) + (1 << count - w * (i + 1)) - (amb << ambient)
-        flip = 1 << sign if gen_signs is not None and gen_signs[i] < 0 else 0
+        flip = 1 << sign if signs is not None and signs[i] < 0 else 0
         step = add + (1 << i)  # no member from before the pass holds g
         sizes = [len(layer) for layer in layers]
         for e in range(degree_bound - d + 1):
@@ -446,7 +450,7 @@ def toric_relations(
         if not is_invariant(action, g):
             raise ToolkitError(f"generator {g} is not invariant under the action")
     rels = binomial_relations(gens, degree_bound)
-    return MonoidPresentation(gens.ambient_dim, gens.generators, rels)
+    return MonoidPresentation(gens.ambient_dim, gens.generators, rels, gens.signs)
 
 
 def relation_profile(pres: MonoidPresentation) -> dict:
@@ -459,7 +463,8 @@ def relation_profile(pres: MonoidPresentation) -> dict:
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
     """Relations among the selected generators only, at twice their top degree."""
-    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep), ())
+    signs = pres.signs and tuple(pres.signs[i] for i in keep)
+    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep), (), signs)
     return len(binomial_relations(sub, _twice_top_degree(sub.generators)))
 
 
@@ -507,13 +512,13 @@ def _check_normalizes(
 
 def fixed_locus_generators(
     action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution
-) -> tuple:
+) -> MonoidPresentation:
     """Generators induced on the fixed locus of a normalizing involution, as
-    a generators-only presentation, and their signs: None when all are +1.
+    a generators-only presentation with their signs.
 
     The fixed locus of the substitution is cut out by identifying each
-    variable with (sign times) its image; generators are rewritten in one
-    representative variable per orbit, and duplicates merge.  Only the
+    variable with (sign times) its image; generators are rewritten, signed,
+    in one representative variable per orbit, and duplicates merge.  Only the
     generators of ``pres`` are read, so a generators-only presentation serves.
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
@@ -539,26 +544,23 @@ def fixed_locus_generators(
             if i != rep[i] and inv.signs[i] == -1 and e % 2:
                 sign = -sign
         key = tuple(image)
-        if key in reduced and reduced[key] != sign:
+        if reduced.setdefault(key, sign) != sign:
             raise InvolutionError(
                 f"generators collapse onto {key} with opposite signs; "
                 "the fixed locus is not a monomial cone"
             )
-        reduced.setdefault(key, sign)
 
-    new_gens = sorted(reduced, key=_grlex_key)
-    signs = tuple(reduced[g] for g in new_gens)
-    return MonoidPresentation(len(reps), tuple(new_gens), ()), (signs if -1 in signs else None)
+    new_gens = tuple(sorted(reduced, key=_grlex_key))
+    return MonoidPresentation(len(reps), new_gens, (), tuple(map(reduced.get, new_gens)))
 
 
 def fixed_locus_presentation(
     action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution, degree_bound: int
 ) -> MonoidPresentation:
     """``fixed_locus_generators`` with the relations of ``binomial_relations``
-    in the reduced variables, up to ambient degree ``degree_bound``."""
-    base, gen_signs = fixed_locus_generators(action, pres, inv)
-    rels = binomial_relations(base, degree_bound, gen_signs=gen_signs)
-    return MonoidPresentation(base.ambient_dim, base.generators, rels)
+    in the reduced variables, signs matched, up to ``degree_bound``."""
+    base = fixed_locus_generators(action, pres, inv)
+    return base.replace(relations=binomial_relations(base, degree_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +602,7 @@ def presentations_isomorphic(
     lands inside the other and the two agree up to the bound.  The first
     relation that fails is returned as the counterexample, indexed by the
     generators of its own side.  The bound defaults to twice the largest
-    generator degree of either side.
+    generator degree of either side.  Signs are set aside.
     """
     if degree_bound is None:
         degree_bound = _twice_top_degree(a.generators + b.generators)
@@ -622,7 +624,7 @@ def presentations_isomorphic(
         (a, b, inverse, ("source", "target")),
         (b, a, gmap, ("target", "source")),
     ):
-        for u, v in binomial_relations(here, degree_bound):
+        for u, v in binomial_relations(here.replace(relations=(), signs=None), degree_bound):
             checked += 1
             if there.expand([u[k] for k in partner]) != there.expand([v[k] for k in partner]):
                 return IsomorphismResult(

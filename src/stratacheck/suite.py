@@ -127,9 +127,9 @@ class _Run:
 
     def fixed_relations(self, action, involution):
         def attach():
-            gens, signs = self.fixed_generators(action, involution)
-            rels = invariants.binomial_relations(gens, DEGREE_BOUNDS[action], signs)
-            return invariants.MonoidPresentation(gens.ambient_dim, gens.generators, rels)
+            gens = self.fixed_generators(action, involution)
+            return gens.replace(relations=invariants.binomial_relations(
+                gens, DEGREE_BOUNDS[action]))
         return self.once(("fixed-relations", action, involution), attach)
 
     def lines(self):
@@ -299,16 +299,16 @@ def _battery(config: ConfigDocument) -> list[Check]:
               "swaps of ambient degree 5 are indispensable but not part of the "
               "reference families"),
         Check("invariants.torus-pair.fixed-locus.generator-count", pair_fixed,
-              10, "paper", lambda r: len(r.fixed_generators(**pair_fixed)[0].generators)),
+              10, "paper", lambda r: len(r.fixed_generators(**pair_fixed).generators)),
         Check("invariants.torus-pair.fixed-locus.isomorphic-negation-c4",
               {"left": "torus-pair fixed locus", "right": "negation-c4 invariants"},
-              True, "paper", lambda r: _isomorphic(r.fixed_generators(**pair_fixed)[0],
+              True, "paper", lambda r: _isomorphic(r.fixed_generators(**pair_fixed),
                                                    r.generators("negation-c4"))),
         Check("invariants.torus-triple.fixed-locus.generator-count", triple_fixed,
-              17, "paper", lambda r: len(r.fixed_generators(**triple_fixed)[0].generators)),
+              17, "paper", lambda r: len(r.fixed_generators(**triple_fixed).generators)),
         Check("invariants.torus-triple.fixed-locus.generator-degrees", triple_fixed,
               {2: 9, 3: 8}, "paper",
-              lambda r: _degree_histogram(r.fixed_generators(**triple_fixed)[0])),
+              lambda r: _degree_histogram(r.fixed_generators(**triple_fixed))),
         Check("invariants.torus-triple.fixed-locus.relation-families", triple_fixed,
               {"block-squares": 3, "cubic-pair-products": 36}, "paper",
               lambda r: {
@@ -326,7 +326,7 @@ def _battery(config: ConfigDocument) -> list[Check]:
               17, "paper", lambda r: len(r.generators("z2z2-c6").generators)),
         Check("invariants.torus-triple.fixed-locus.isomorphic-z2z2-c6",
               {"left": "torus-triple fixed locus", "right": "z2z2-c6 invariants"},
-              True, "paper", lambda r: _isomorphic(r.fixed_generators(**triple_fixed)[0],
+              True, "paper", lambda r: _isomorphic(r.fixed_generators(**triple_fixed),
                                                    r.generators("z2z2-c6"))),
         # quotient singularities
         Check("singularity.negation-c4.age", {"element": "minus one on C^4"},
@@ -443,12 +443,9 @@ def _battery(config: ConfigDocument) -> list[Check]:
     ]
 
     def discrepancy_note(r, label):
-        derived = _derived_ledger(r, cubic)
-        found = {d.label: d for d in ledger.discrepancy_report(cubic, derived)}
-        return (
-            f"cause: {found[label].cause}; ledger totals: reference "
-            f"{r.value('euler.cubic-ledger-total')}, derived {ledger.total_chi(derived)}"
-        )
+        derived = ledger.total_chi(_derived_ledger(r, cubic))
+        return (f"cause: {_derivation(r, label)[1]}; ledger totals: reference "
+                f"{r.value('euler.cubic-ledger-total')}, derived {derived}")
 
     # each derivable cubic row against its derivation: agreeing cases first,
     # then the designed discrepancies

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -597,6 +598,34 @@ def test_verify_all_matches_golden_report(mode, tmp_path, capsys):
     assert out.read_text() == (DATA / f"verify-all-{mode}.json").read_text()
 
 
+# swap-triple with signs, under which 14 of its fixed locus's 17 generators are -1
+SIGNED_SWAP_TRIPLE = {"involutions": {"swap-triple": {
+    "permutation": [7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4],
+    "signs": [1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1],
+}}}
+
+
+@pytest.mark.parametrize("mode", ["derived", "paper"])
+def test_signed_swap_triple_gives_the_golden_invariants_records(mode, tmp_path, capsys):
+    config, out = tmp_path / "signed.json", tmp_path / "report.json"
+    config.write_text(json.dumps(SIGNED_SWAP_TRIPLE))
+    main(["invariants", "--mode", mode, "--config", str(config), "--json", str(out)])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    golden = (DATA / f"verify-all-{mode}.txt").read_text().splitlines()
+    assert len(lines) == 18
+    assert lines == [line for line in golden if re.match(r"\[[A-Z]*\] invariants\.", line)]
+    checks = json.loads(out.read_text())["checks"]
+    golden = json.loads((DATA / f"verify-all-{mode}.json").read_text())["checks"]
+    assert checks == [c for c in golden if c["name"].startswith("invariants.")]
+    # the signs reach the fixed locus
+    signed = load_config(config)
+    triple = signed.require("actions", "torus-triple")
+    fixed = invariants.fixed_locus_generators(
+        triple, invariants.invariant_generators(triple, 6),
+        signed.require("involutions", "swap-triple"))
+    assert fixed.signs.count(-1) == 14
+
+
 def _cubic_rows(**chi_base):
     """The built-in cubic ledger rows as config JSON, with chi_base overrides."""
     rows = ledger_rows(builtin_config().require("ledgers", "cubic"))
@@ -861,7 +890,7 @@ def test_verdict_failure_names_the_class_row_it_read(tmp_path):
 def test_a_relation_that_is_no_identity_errors_its_rows(monkeypatch):
     # only building the presentation checks that a relation's sides expand
     # alike; no row may PASS on a relation that skipped that proof
-    def broken(pres, degree_bound, gen_signs=None):
+    def broken(pres, degree_bound):
         k = len(pres.generators)
         return (tuple(int(i == 0) for i in range(k)), tuple(int(i == 1) for i in range(k))),
 

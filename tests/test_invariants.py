@@ -386,13 +386,13 @@ def test_relations_expand_to_identities_and_are_minimal():
         assert not oracle_fibers_connected(expansions, moves[:dropped] + moves[dropped + 1 :])
 
 
-def genmon_sign(genexp, gen_signs):
+def genmon_sign(genexp, signs):
     """Sign of a generator monomial: flipped once for every odd exponent on
     a generator of negative sign."""
-    if gen_signs is None:
+    if signs is None:
         return 1
     s = 1
-    for e, gs in zip(genexp, gen_signs):
+    for e, gs in zip(genexp, signs):
         if gs < 0 and e % 2:
             s = -s
     return s
@@ -408,7 +408,7 @@ def weighted_vectors(degrees, bound):
             yield (head,) + tail
 
 
-def closure_relations(pres, degree_bound, gen_signs=None):
+def closure_relations(pres, degree_bound):
     """The congruence closure that the fiber components replaced, kept as
     their reference: fibers in grlex order, two members merged when they
     agree after deleting one shared generator in a lower fiber, by union-find
@@ -416,7 +416,7 @@ def closure_relations(pres, degree_bound, gen_signs=None):
     by fresh relations."""
     fibers = {}
     for genexp in weighted_vectors([sum(g) for g in pres.generators], degree_bound):
-        key = (pres.expand(genexp), genmon_sign(genexp, gen_signs))
+        key = (pres.expand(genexp), genmon_sign(genexp, pres.signs))
         fibers.setdefault(key, []).append(genexp)
     parent = {m: m for members in fibers.values() for m in members}
 
@@ -455,9 +455,9 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
     calls = []
     components = invariants.binomial_relations
 
-    def spy(pres, degree_bound, gen_signs=None):
-        out = components(pres, degree_bound, gen_signs)
-        calls.append((pres, degree_bound, gen_signs, out))
+    def spy(pres, degree_bound):
+        out = components(pres, degree_bound)
+        calls.append((pres, degree_bound, out))
         return out
 
     monkeypatch.setattr(invariants, "binomial_relations", spy)
@@ -476,9 +476,9 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
         fixed_locus_presentation(action, pres, swap, bound)
         fixed_locus_presentation(action, pres, CoordinateInvolution(swap.image, signs), bound)
     assert [len(out) for *_, out in calls] == [36, 20, 63, 133, 133, 20, 20, 63, 63]
-    assert [signs is not None for _, _, signs, _ in calls] == [False] * 6 + [True, False, True]
-    for pres, degree_bound, gen_signs, out in calls:
-        assert out == closure_relations(pres, degree_bound, gen_signs)
+    assert [pres.signs is not None for pres, *_ in calls] == [False] * 6 + [True, False, True]
+    for pres, degree_bound, out in calls:
+        assert out == closure_relations(pres, degree_bound)
 
 
 def test_fiber_components_match_the_closure_on_500_random_presentations():
@@ -501,18 +501,18 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
             continue
         presentations += 1
         bound = 2 * max(sum(g) for g in pres.generators) + rng.randint(0, 1)
-        signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
+        signed_pres = pres.replace(signs=[rng.choice((1, -1)) for _ in pres.generators])
         unsigned = binomial_relations(pres, bound)
-        signed = binomial_relations(pres, bound, signs)
+        signed = binomial_relations(signed_pres, bound)
         assert unsigned == closure_relations(pres, bound), (pres, bound)
-        assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
+        assert signed == closure_relations(signed_pres, bound), (signed_pres, bound)
         signed_differ += signed != unsigned
-        for relations in (unsigned, signed):
+        for base, relations in ((pres, unsigned), (signed_pres, signed)):
             # the profile reads degrees; its definition expands each relation
-            full = MonoidPresentation(pres.ambient_dim, pres.generators, relations)
+            full = base.replace(relations=relations)
             assert relation_profile(full) == Counter(
                 (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in relations
-            ), (pres, relations)
+            ), (base, relations)
     assert signed_differ > 50
 
 
@@ -528,10 +528,10 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     cases = [(pres, bound) for pres in (corner, line, single) for bound in range(-2, 18)]
     cases += [(empty, 4), (empty, 0), (empty, -1)]
     for pres, bound in cases:
-        sign_choices = [None] + list(product((1, -1), repeat=len(pres.generators)))
-        for signs in sign_choices:
-            got = binomial_relations(pres, bound, signs)
-            assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+        for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
+            signed = pres.replace(signs=signs)
+            got = binomial_relations(signed, bound)
+            assert got == closure_relations(signed, bound), (signed, bound)
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
     assert binomial_relations(line, 15) == (((0, 1, 0), (2, 0, 0)), ((0, 0, 1), (1, 1, 0)))
@@ -551,8 +551,9 @@ def test_layered_members_match_the_closure_in_any_generator_order():
     for pres in cases:
         for bound in range(-1, 13):
             for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
-                got = binomial_relations(pres, bound, signs)
-                assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+                signed = pres.replace(signs=signs)
+                got = binomial_relations(signed, bound)
+                assert got == closure_relations(signed, bound), (signed, bound)
     line, square, _ = cases
     # x^2 = x * x, and x^3 = x * x^2, the least member of x^3's other component
     assert binomial_relations(line, 6) == (((0, 0, 1), (0, 2, 0)), ((1, 0, 0), (0, 1, 1)))
@@ -571,19 +572,34 @@ def test_a_flagged_fiber_that_is_connected_emits_nothing():
     )
     for bound in range(-1, 9):
         for signs in [None] + list(product((1, -1), repeat=4)):
-            got = binomial_relations(pres, bound, signs)
-            assert got == closure_relations(pres, bound, signs), (pres, bound, signs)
+            signed = pres.replace(signs=signs)
+            got = binomial_relations(signed, bound)
+            assert got == closure_relations(signed, bound), (signed, bound)
 
 
 def test_malformed_generator_signs_are_rejected():
-    pres = MonoidPresentation(2, ((1, 0), (0, 1), (1, 1)))
-    for signs in ((1,), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5)):
+    gens = ((1, 0), (0, 1), (1, 1))
+    # (1, 0) has no -1: it is rejected before the signs are normalised
+    for signs in ((1,), (1, 0), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5), (0, 1, 1)):
         with pytest.raises(ToolkitError, match="one \\+1 or -1 per generator"):
-            binomial_relations(pres, 4, signs)
+            MonoidPresentation(2, gens, (), signs)
+    assert MonoidPresentation(2, gens, (), [1, 1, 1]) == MonoidPresentation(2, gens)
+    assert MonoidPresentation(2, gens, (), [1, -1, -1]).signs == (1, -1, -1)
     # xy and x * y have one sign when an even count of the three is -1;
     # their squares always do
-    assert binomial_relations(pres, 4, [1, -1, -1]) == (((0, 0, 1), (1, 1, 0)),)
-    assert binomial_relations(pres, 4, (1, -1, 1)) == (((0, 0, 2), (2, 2, 0)),)
+    pres = MonoidPresentation(2, gens, (), [1, -1, -1])
+    assert binomial_relations(pres, 4) == (((0, 0, 1), (1, 1, 0)),)
+    assert binomial_relations(pres.replace(signs=(1, -1, 1)), 4) == (((0, 0, 2), (2, 2, 0)),)
+
+
+def test_a_relation_whose_signs_differ_is_rejected():
+    # x^2 with sign -1 and x with sign +1: x^2 and x * x expand alike, but
+    # -x^2 is not +x^2, so the relation is no identity
+    with pytest.raises(ToolkitError, match="does not expand to an identity"):
+        MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),), (-1, 1))
+    # (-x^2)^2 and x^4 agree, and so does the relation without signs
+    assert MonoidPresentation(1, ((2,), (1,)), (((2, 0), (0, 4)),), (-1, 1)).relations
+    assert MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),)).signs is None
 
 
 def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
@@ -597,12 +613,14 @@ def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
         cases.append((MonoidPresentation(12, tuple(gens)), 8))
     for pres, bound in cases:
         assert bound.bit_length() * len(pres.generators) > 64
-        signs = tuple(rng.choice((1, -1)) for _ in pres.generators)
+        # the triple's relations are unsigned, so they stay behind
+        signs = [rng.choice((1, -1)) for _ in pres.generators]
+        signed_pres = pres.replace(relations=(), signs=signs)
         unsigned = binomial_relations(pres, bound)
-        signed = binomial_relations(pres, bound, signs)
+        signed = binomial_relations(signed_pres, bound)
         assert len({sum(pres.expand(u)) for u, _ in unsigned}) < len(unsigned)
         assert unsigned == closure_relations(pres, bound), (pres, bound)
-        assert signed == closure_relations(pres, bound, signs), (pres, bound, signs)
+        assert signed == closure_relations(signed_pres, bound), (signed_pres, bound)
 
 
 def test_generators_with_negative_exponents_are_rejected():
@@ -737,6 +755,18 @@ def test_presentation_isomorphic_to_itself():
     neg = toric_relations(NEG4, invariant_generators(NEG4, 4), 4)
     result = presentations_isomorphic(neg, neg, tuple(range(10)))
     assert result.isomorphic
+
+
+def test_the_isomorphism_certificate_sets_signs_aside():
+    # with -y^2, x^2 * (-y^2) is not (xy)^2, so the signed cone has no
+    # relation; the certificate checks x^2 * y^2 = (xy)^2 on either side
+    veronese = MonoidPresentation(2, ((2, 0), (1, 1), (0, 2)))
+    signed = veronese.replace(signs=(1, 1, -1))
+    assert binomial_relations(signed, 4) == ()
+    unsigned = presentations_isomorphic(veronese, veronese, (0, 1, 2))
+    assert unsigned.isomorphic and unsigned.classes_checked == 2
+    assert presentations_isomorphic(signed, signed, (0, 1, 2)) == unsigned
+    assert presentations_isomorphic(signed, veronese, (0, 1, 2)) == unsigned
 
 
 def test_generator_count_mismatch_is_false_not_error():
