@@ -68,9 +68,12 @@ class MonoidPresentation(Record):
 
     ``signs`` holds one +1 or -1 per generator, None when all are +1.  A
     relation is a pair (u, v) of exponent vectors over the generator index
-    set whose ambient expansions and signs agree, checked once here: a later
-    relation statistic reads generator degrees.  Relations may be empty for
-    a generators-only presentation.
+    set whose ambient expansions agree, checked once here: a later relation
+    statistic reads generator degrees.  Signs are units, so they fix a
+    relation's coefficient, prod s_i^(u_i - v_i), and never which relations
+    exist: y_i -> s_i * y_i carries the unsigned binomial ideal onto the
+    signed one (Eisenbud and Sturmfels, Duke Math. J. 1996).  Relations may
+    be empty for a generators-only presentation.
     """
 
     ambient_dim: int
@@ -81,12 +84,10 @@ class MonoidPresentation(Record):
     def __post_init__(self):
         gens = tuple(tuple(g) for g in self.generators)
         rels = tuple((tuple(u), tuple(v)) for u, v in self.relations)
-        odd = ()  # the -1 generators: a side's sign is (-1)^(its exponent sum on them)
         if self.signs is not None:
             if len(self.signs) != len(gens) or any(s not in (1, -1) for s in self.signs):
                 raise ToolkitError("signs must hold one +1 or -1 per generator")
-            odd = tuple(i for i, s in enumerate(self.signs) if s == -1)
-            object.__setattr__(self, "signs", tuple(self.signs) if odd else None)
+            object.__setattr__(self, "signs", tuple(self.signs) if -1 in self.signs else None)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relations", rels)
         seen = set()
@@ -105,7 +106,7 @@ class MonoidPresentation(Record):
                 raise ToolkitError("relation side has wrong generator count")
             if min(u + v, default=0) < 0:
                 raise ToolkitError(f"relation {u} = {v} has a negative exponent")
-            if self.expand(u) != self.expand(v) or odd and sum(u[i] - v[i] for i in odd) % 2:
+            if self.expand(u) != self.expand(v):
                 raise ToolkitError(f"relation {u} = {v} does not expand to an identity")
 
     def expand(self, genexp) -> tuple[int, ...]:
@@ -343,48 +344,48 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     """Minimal generating set of binomial relations up to an ambient degree.
 
     The generator monomials up to the bound fall into expansion fibers,
-    keyed by ambient monomial and, with ``pres.signs``, by sign.  In each
+    keyed by ambient monomial; ``pres.signs`` is not read, since signs only
+    fix each relation's coefficient (see ``MonoidPresentation``).  In each
     fiber, members that share a generator are joined; the least member of
     each component, by (degree, vector), represents it, and the first
     representative is related to each of the others.  Fibers come in grlex
-    order of their ambient monomial, + first.
+    order of their ambient monomial.
 
     The generator monomials live in one list per ambient degree, 0 to the
     bound.  Each is one integer of w-bit digits, with w =
     max(bound, 1).bit_length() and these fields from the top down: ambient
-    monomial, each digit complemented to 2^w - 1 - e; one sign bit, set for
-    -1; generator count; exponent vector, index 0 most significant; support
-    mask, bit i for generator i.  Generators have nonnegative exponents and
-    degree at least 1, so up to the bound every count and exponent of either
-    kind is at most the bound, below 2^w: no field carries into the next.
-    The pass for generator i of degree d extends layer e + d from layer e,
-    for e = 0 .. bound - d, by one precomputed addition, which also sets
-    bit i on the members older than the pass, and an xor of the sign bit
-    when i has sign -1; no member passes the bound.  One dict pass per layer
-    ORs the masks of each fiber key m >> sign and flags a fiber when a
-    member meets none of the masks before it, which every split fiber does:
-    a member outside the first member's component shares no generator with
-    it.  Only flagged members are sorted.  Numeric order (ambient lex
-    descending, sign, count, vector) lays them out fiber by fiber in output
-    order, each ascending by (degree, vector): components are joined on the
-    masks, the first to meet one is its least; a connected fiber emits none.
+    monomial, each digit complemented to 2^w - 1 - e; generator count;
+    exponent vector, index 0 most significant; support mask, bit i for
+    generator i.  Generators have nonnegative exponents and degree at least
+    1, so up to the bound every count and exponent of either kind is at
+    most the bound, below 2^w: no field carries into the next.  The pass for
+    generator i of degree d extends layer e + d from layer e, for e = 0 ..
+    bound - d, by one precomputed addition, which also sets bit i on the
+    members older than the pass; no member passes the bound.  One dict pass
+    per layer ORs the masks of each fiber key m >> ambient and flags a fiber
+    when a member meets none of the masks before it, which every split fiber
+    does: a member outside the first member's component shares no generator
+    with it.  Only flagged members are sorted.  Numeric order (ambient lex
+    descending, count, vector) lays them out fiber by fiber in output order,
+    each ascending by (degree, vector): components are joined on the masks,
+    the first to meet one is its least; a connected fiber emits none.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
     to w + v.  A relation of lower degree has w nonzero, so its moves only
     join members that share a generator.  Conversely, if members a and b
     share generator i, then a - e_i and b - e_i lie in one lower fiber (the
-    expansion less that generator, with the same sign flip when it has sign
-    -1).  By induction on the degree the relations already returned connect
-    that fiber, and the same path with generator i put back joins a and b.
-    So the components are exactly the classes the lower relations leave
-    apart: each returned relation is needed, and together they connect
-    every fiber.  No state carries from one fiber to the next.
+    expansion less that generator).  By induction on the degree the
+    relations already returned connect that fiber, and the same path with
+    generator i put back joins a and b.  So the components are exactly the
+    classes the lower relations leave apart: each returned relation is
+    needed, and together they connect every fiber.  No state carries from
+    one fiber to the next.
     """
-    k, n, signs = len(pres.generators), pres.ambient_dim, pres.signs
+    k, n = len(pres.generators), pres.ambient_dim
     w = max(degree_bound, 1).bit_length()
     count = k + w * k  # the places of the fields, from the bottom up
-    sign, ambient = count + w, count + w + 1
+    ambient = count + w
     full, top = (1 << k) - 1, (1 << w) - 1
     layers = [[((1 << w * n) - 1) << ambient]] + [[] for _ in range(degree_bound)]
     for i, g in enumerate(pres.generators):
@@ -392,17 +393,12 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
         d = sum(g)
         amb = sum(e << w * (n - 1 - j) for j, e in enumerate(g))
         add = (1 << count) + (1 << count - w * (i + 1)) - (amb << ambient)
-        flip = 1 << sign if signs is not None and signs[i] < 0 else 0
         step = add + (1 << i)  # no member from before the pass holds g
         sizes = [len(layer) for layer in layers]
         for e in range(degree_bound - d + 1):
             layer, old = layers[e], sizes[e]
-            if flip:
-                layers[e + d] += [m + step ^ flip for m in layer[:old]]
-                layers[e + d] += [m + add ^ flip for m in layer[old:]]
-            else:
-                layers[e + d] += [m + step for m in layer[:old]]
-                layers[e + d] += [m + add for m in layer[old:]]
+            layers[e + d] += [m + step for m in layer[:old]]
+            layers[e + d] += [m + add for m in layer[old:]]
 
     def unpack(member):
         vector, mask = [0] * k, member & full
@@ -416,13 +412,13 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     for layer in layers[1:]:  # layer 0 holds the unit alone
         unions, split = {}, set()  # fiber key -> OR of its masks so far
         for m in layer:
-            key, mask = m >> sign, m & full
+            key, mask = m >> ambient, m & full
             union = unions.get(key, mask)
             if not union & mask:
                 split.add(key)
             unions[key] = union | mask
-        flagged = sorted(m for m in layer if m >> sign in split) if split else ()
-        for _, fiber in groupby(flagged, sign.__rrshift__):
+        flagged = sorted(m for m in layer if m >> ambient in split) if split else ()
+        for _, fiber in groupby(flagged, ambient.__rrshift__):
             first, *others = fiber
             components = [first & full]  # the disjoint support masks
             for m in others:
@@ -462,9 +458,9 @@ def relation_profile(pres: MonoidPresentation) -> dict:
 
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
-    """Relations among the selected generators only, at twice their top degree."""
-    signs = pres.signs and tuple(pres.signs[i] for i in keep)
-    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep), (), signs)
+    """Relations among the selected generators only, at twice their top
+    degree; signs fix coefficients, not relations, so none are carried."""
+    sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep))
     return len(binomial_relations(sub, _twice_top_degree(sub.generators)))
 
 
@@ -518,8 +514,10 @@ def fixed_locus_generators(
 
     The fixed locus of the substitution is cut out by identifying each
     variable with (sign times) its image; generators are rewritten, signed,
-    in one representative variable per orbit, and duplicates merge.  Only the
-    generators of ``pres`` are read, so a generators-only presentation serves.
+    in one representative variable per orbit, and duplicates merge with the
+    first one's sign, whatever theirs: y^a and -y^a generate one ring.  Only
+    the generators of ``pres`` are read, so a generators-only presentation
+    serves.
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
@@ -543,12 +541,7 @@ def fixed_locus_generators(
             image[index_of[rep[i]]] += e
             if i != rep[i] and inv.signs[i] == -1 and e % 2:
                 sign = -sign
-        key = tuple(image)
-        if reduced.setdefault(key, sign) != sign:
-            raise InvolutionError(
-                f"generators collapse onto {key} with opposite signs; "
-                "the fixed locus is not a monomial cone"
-            )
+        reduced.setdefault(tuple(image), sign)
 
     new_gens = tuple(sorted(reduced, key=_grlex_key))
     return MonoidPresentation(len(reps), new_gens, (), tuple(map(reduced.get, new_gens)))
@@ -558,7 +551,7 @@ def fixed_locus_presentation(
     action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution, degree_bound: int
 ) -> MonoidPresentation:
     """``fixed_locus_generators`` with the relations of ``binomial_relations``
-    in the reduced variables, signs matched, up to ``degree_bound``."""
+    in the reduced variables, up to ``degree_bound``."""
     base = fixed_locus_generators(action, pres, inv)
     return base.replace(relations=binomial_relations(base, degree_bound))
 
@@ -602,7 +595,8 @@ def presentations_isomorphic(
     lands inside the other and the two agree up to the bound.  The first
     relation that fails is returned as the counterexample, indexed by the
     generators of its own side.  The bound defaults to twice the largest
-    generator degree of either side.  Signs are set aside.
+    generator degree of either side.  Signs fix coefficients, not which
+    relations exist, so they are not read.
     """
     if degree_bound is None:
         degree_bound = _twice_top_degree(a.generators + b.generators)
@@ -624,7 +618,7 @@ def presentations_isomorphic(
         (a, b, inverse, ("source", "target")),
         (b, a, gmap, ("target", "source")),
     ):
-        for u, v in binomial_relations(here.replace(relations=(), signs=None), degree_bound):
+        for u, v in binomial_relations(here, degree_bound):
             checked += 1
             if there.expand([u[k] for k in partner]) != there.expand([v[k] for k in partner]):
                 return IsomorphismResult(

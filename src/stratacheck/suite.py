@@ -195,8 +195,9 @@ def _triple_reference_families(triple):
 def _isomorphic(a, b):
     """Whether the two invariant rings are isomorphic, in all degrees.
 
-    Equal generator sets in the same ambient space, signs aside, generate
-    the same subalgebra of the polynomial ring, so the rings are equal.
+    Equal generator sets in the same ambient space generate the same
+    subalgebra of the polynomial ring whatever their signs, which are
+    units, so the rings are equal.
     """
     return a.ambient_dim == b.ambient_dim and sorted(a.generators) == sorted(b.generators)
 

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from stratacheck.report import (
     PASS,
     CheckRecord,
     VerificationReport,
+    format_value,
     render_json,
     render_text,
 )
@@ -624,6 +626,49 @@ def test_signed_swap_triple_gives_the_golden_invariants_records(mode, tmp_path, 
         triple, invariants.invariant_generators(triple, 6),
         signed.require("involutions", "swap-triple"))
     assert fixed.signs.count(-1) == 14
+
+
+def test_every_signing_of_swap_triple_gives_the_golden_invariants_records():
+    # swap-triple swaps six pairs, and each pair takes one sign: -y^a and
+    # y^a generate one ring, so all 64 signings give the golden records
+    image = SIGNED_SWAP_TRIPLE["involutions"]["swap-triple"]["permutation"]
+    pairs = [i for i, j in enumerate(image) if i < j]
+    golden = [
+        line for line in (DATA / "verify-all-derived.txt").read_text().splitlines()
+        if re.match(r"\[[A-Z]*\] invariants\.", line)
+    ]
+    assert len(pairs) == 6 and len(golden) == 18
+    for choice in product((1, -1), repeat=6):
+        signs = [0] * len(image)
+        for i, s in zip(pairs, choice):
+            signs[i] = signs[image[i]] = s
+        document = {"involutions": {"swap-triple": {"permutation": image, "signs": signs}}}
+        records = run_section("invariants", parse_config(document, "signed"))
+        text = render_text(VerificationReport(__version__, "derived", "signed", tuple(records)))
+        assert [line for line in text.splitlines() if line.startswith("[")] == golden, signs
+
+
+# a four-variable torus-triple whose swap-triple fixed locus is generated by
+# -y0^2, y1^2 and y0^2 * y1^2: the product is a degree-4 relation, with
+# coefficient -1
+SPLIT_SWAP_TRIPLE = {
+    "actions": {"torus-triple": {
+        "ambient_dim": 4, "torus_weights": [[1, -1, -1, 1]], "finite_factors": [[2, [0, 1, 0, 1]]],
+    }},
+    "involutions": {"swap-triple": {"permutation": [2, 3, 0, 1], "signs": [-1, 1, -1, 1]}},
+}
+
+
+def test_a_fixed_locus_relation_across_signs_is_counted(tmp_path):
+    records = _run_with(tmp_path, SPLIT_SWAP_TRIPLE, "invariants")
+    profile = records["invariants.torus-triple.fixed-locus.relation-profile"]
+    assert format_value(profile.computed) == '{"4":1}'
+    config = parse_config(SPLIT_SWAP_TRIPLE, "split")
+    triple = config.require("actions", "torus-triple")
+    fixed = invariants.fixed_locus_generators(
+        triple, invariants.invariant_generators(triple, 6),
+        config.require("involutions", "swap-triple"))
+    assert fixed.generators == ((2, 0), (0, 2), (2, 2)) and fixed.signs == (-1, 1, 1)
 
 
 def _cubic_rows(**chi_base):

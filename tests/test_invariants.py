@@ -386,18 +386,6 @@ def test_relations_expand_to_identities_and_are_minimal():
         assert not oracle_fibers_connected(expansions, moves[:dropped] + moves[dropped + 1 :])
 
 
-def genmon_sign(genexp, signs):
-    """Sign of a generator monomial: flipped once for every odd exponent on
-    a generator of negative sign."""
-    if signs is None:
-        return 1
-    s = 1
-    for e, gs in zip(genexp, signs):
-        if gs < 0 and e % 2:
-            s = -s
-    return s
-
-
 def weighted_vectors(degrees, bound):
     """Every exponent vector e >= 0 with sum(e_i * degrees[i]) <= bound."""
     if not degrees:
@@ -413,11 +401,11 @@ def closure_relations(pres, degree_bound):
     their reference: fibers in grlex order, two members merged when they
     agree after deleting one shared generator in a lower fiber, by union-find
     state carried across every fiber, then the components still apart joined
-    by fresh relations."""
+    by fresh relations.  Fibers are keyed by expansion alone: signs fix a
+    relation's coefficient, not whether it exists."""
     fibers = {}
     for genexp in weighted_vectors([sum(g) for g in pres.generators], degree_bound):
-        key = (pres.expand(genexp), genmon_sign(genexp, pres.signs))
-        fibers.setdefault(key, []).append(genexp)
+        fibers.setdefault(pres.expand(genexp), []).append(genexp)
     parent = {m: m for members in fibers.values() for m in members}
 
     def find(x):
@@ -427,7 +415,7 @@ def closure_relations(pres, degree_bound):
 
     relations = []
     side_key = lambda u: (sum(u), u)
-    for key in sorted(fibers, key=lambda k: (grlex_order(k[0]), -k[1])):
+    for key in sorted(fibers, key=grlex_order):
         members = sorted(fibers[key], key=side_key)
         for a, b in combinations(members, 2):
             if find(a) == find(b):
@@ -483,7 +471,7 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
 
 def test_fiber_components_match_the_closure_on_500_random_presentations():
     rng = random.Random(20261019)
-    presentations = signed_differ = 0
+    presentations = 0
     while presentations < 500:
         n = rng.randint(1, 5)
         torus = tuple(
@@ -503,17 +491,14 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
         bound = 2 * max(sum(g) for g in pres.generators) + rng.randint(0, 1)
         signed_pres = pres.replace(signs=[rng.choice((1, -1)) for _ in pres.generators])
         unsigned = binomial_relations(pres, bound)
-        signed = binomial_relations(signed_pres, bound)
+        assert binomial_relations(signed_pres, bound) == unsigned, (signed_pres, bound)
         assert unsigned == closure_relations(pres, bound), (pres, bound)
-        assert signed == closure_relations(signed_pres, bound), (signed_pres, bound)
-        signed_differ += signed != unsigned
-        for base, relations in ((pres, unsigned), (signed_pres, signed)):
+        for base in (pres, signed_pres):
             # the profile reads degrees; its definition expands each relation
-            full = base.replace(relations=relations)
+            full = base.replace(relations=unsigned)
             assert relation_profile(full) == Counter(
-                (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in relations
-            ), (base, relations)
-    assert signed_differ > 50
+                (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in unsigned
+            ), (base, unsigned)
 
 
 def test_packed_members_match_the_closure_at_the_packing_boundaries():
@@ -528,10 +513,10 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     cases = [(pres, bound) for pres in (corner, line, single) for bound in range(-2, 18)]
     cases += [(empty, 4), (empty, 0), (empty, -1)]
     for pres, bound in cases:
+        want = closure_relations(pres, bound)
         for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
             signed = pres.replace(signs=signs)
-            got = binomial_relations(signed, bound)
-            assert got == closure_relations(signed, bound), (signed, bound)
+            assert binomial_relations(signed, bound) == want, (signed, bound)
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
     assert binomial_relations(line, 15) == (((0, 1, 0), (2, 0, 0)), ((0, 0, 1), (1, 1, 0)))
@@ -550,10 +535,10 @@ def test_layered_members_match_the_closure_in_any_generator_order():
     )
     for pres in cases:
         for bound in range(-1, 13):
+            want = closure_relations(pres, bound)
             for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
                 signed = pres.replace(signs=signs)
-                got = binomial_relations(signed, bound)
-                assert got == closure_relations(signed, bound), (signed, bound)
+                assert binomial_relations(signed, bound) == want, (signed, bound)
     line, square, _ = cases
     # x^2 = x * x, and x^3 = x * x^2, the least member of x^3's other component
     assert binomial_relations(line, 6) == (((0, 0, 1), (0, 2, 0)), ((1, 0, 0), (0, 1, 1)))
@@ -571,10 +556,10 @@ def test_a_flagged_fiber_that_is_connected_emits_nothing():
         ((0, 0, 1, 0), (0, 0, 0, 2)),
     )
     for bound in range(-1, 9):
+        want = closure_relations(pres, bound)
         for signs in [None] + list(product((1, -1), repeat=4)):
             signed = pres.replace(signs=signs)
-            got = binomial_relations(signed, bound)
-            assert got == closure_relations(signed, bound), (signed, bound)
+            assert binomial_relations(signed, bound) == want, (signed, bound)
 
 
 def test_malformed_generator_signs_are_rejected():
@@ -585,21 +570,24 @@ def test_malformed_generator_signs_are_rejected():
             MonoidPresentation(2, gens, (), signs)
     assert MonoidPresentation(2, gens, (), [1, 1, 1]) == MonoidPresentation(2, gens)
     assert MonoidPresentation(2, gens, (), [1, -1, -1]).signs == (1, -1, -1)
-    # xy and x * y have one sign when an even count of the three is -1;
-    # their squares always do
+    # xy ~ x * y whichever of the three is -1: a sign fixes the relation's
+    # coefficient, here -1 for x, -y, xy, and not whether it exists
     pres = MonoidPresentation(2, gens, (), [1, -1, -1])
     assert binomial_relations(pres, 4) == (((0, 0, 1), (1, 1, 0)),)
-    assert binomial_relations(pres.replace(signs=(1, -1, 1)), 4) == (((0, 0, 2), (2, 2, 0)),)
+    assert binomial_relations(pres.replace(signs=(1, -1, 1)), 4) == (((0, 0, 1), (1, 1, 0)),)
 
 
-def test_a_relation_whose_signs_differ_is_rejected():
-    # x^2 with sign -1 and x with sign +1: x^2 and x * x expand alike, but
-    # -x^2 is not +x^2, so the relation is no identity
-    with pytest.raises(ToolkitError, match="does not expand to an identity"):
-        MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),), (-1, 1))
-    # (-x^2)^2 and x^4 agree, and so does the relation without signs
-    assert MonoidPresentation(1, ((2,), (1,)), (((2, 0), (0, 4)),), (-1, 1)).relations
-    assert MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),)).signs is None
+def test_a_relation_whose_signs_differ_is_an_identity():
+    # x^2 with sign -1 and x with sign +1: -x^2 = -1 * x * x, a relation
+    # with coefficient -1, and the one relation up to degree 4 either way
+    pres = MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),), (-1, 1))
+    assert pres.relations == (((1, 0), (0, 2)),) and pres.signs == (-1, 1)
+    unsigned = pres.replace(signs=None)
+    assert binomial_relations(pres, 4) == binomial_relations(unsigned, 4) == pres.relations
+    # sides that expand apart are still no identity, signed or not
+    for signs in ((-1, 1), None):
+        with pytest.raises(ToolkitError, match="does not expand to an identity"):
+            MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 1)),), signs)
 
 
 def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
@@ -613,14 +601,13 @@ def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
         cases.append((MonoidPresentation(12, tuple(gens)), 8))
     for pres, bound in cases:
         assert bound.bit_length() * len(pres.generators) > 64
-        # the triple's relations are unsigned, so they stay behind
+        # the triple's relations hold under any signs, so they stay on
         signs = [rng.choice((1, -1)) for _ in pres.generators]
-        signed_pres = pres.replace(relations=(), signs=signs)
+        signed_pres = pres.replace(signs=signs)
         unsigned = binomial_relations(pres, bound)
-        signed = binomial_relations(signed_pres, bound)
         assert len({sum(pres.expand(u)) for u, _ in unsigned}) < len(unsigned)
+        assert binomial_relations(signed_pres, bound) == unsigned, (signed_pres, bound)
         assert unsigned == closure_relations(pres, bound), (pres, bound)
-        assert signed == closure_relations(signed_pres, bound), (signed_pres, bound)
 
 
 def test_generators_with_negative_exponents_are_rejected():
@@ -758,11 +745,13 @@ def test_presentation_isomorphic_to_itself():
 
 
 def test_the_isomorphism_certificate_sets_signs_aside():
-    # with -y^2, x^2 * (-y^2) is not (xy)^2, so the signed cone has no
-    # relation; the certificate checks x^2 * y^2 = (xy)^2 on either side
+    # with -y^2, x^2 * (-y^2) = -(xy)^2: the signed cone has the relation of
+    # the unsigned one, with coefficient -1, and the certificate checks it
+    # on either side
     veronese = MonoidPresentation(2, ((2, 0), (1, 1), (0, 2)))
     signed = veronese.replace(signs=(1, 1, -1))
-    assert binomial_relations(signed, 4) == ()
+    assert binomial_relations(signed, 4) == (((0, 2, 0), (1, 0, 1)),)
+    assert binomial_relations(veronese, 4) == binomial_relations(signed, 4)
     unsigned = presentations_isomorphic(veronese, veronese, (0, 1, 2))
     assert unsigned.isomorphic and unsigned.classes_checked == 2
     assert presentations_isomorphic(signed, signed, (0, 1, 2)) == unsigned
