@@ -64,30 +64,21 @@ class DiagonalAction(Record):
 
 
 class MonoidPresentation(Record):
-    """Signed monomial generators plus binomial relations over the generator set.
+    """Monomial generators plus binomial relations over the generator set.
 
-    ``signs`` holds one +1 or -1 per generator, None when all are +1.  A
-    relation is a pair (u, v) of exponent vectors over the generator index
+    A relation is a pair (u, v) of exponent vectors over the generator index
     set whose ambient expansions agree, checked once here: a later relation
-    statistic reads generator degrees.  Signs are units, so they fix a
-    relation's coefficient, prod s_i^(u_i - v_i), and never which relations
-    exist: y_i -> s_i * y_i carries the unsigned binomial ideal onto the
-    signed one (Eisenbud and Sturmfels, Duke Math. J. 1996).  Relations may
-    be empty for a generators-only presentation.
+    statistic reads generator degrees.  Relations may be empty for a
+    generators-only presentation.
     """
 
     ambient_dim: int
     generators: tuple[tuple[int, ...], ...]
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
-    signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         gens = tuple(tuple(g) for g in self.generators)
         rels = tuple((tuple(u), tuple(v)) for u, v in self.relations)
-        if self.signs is not None:
-            if len(self.signs) != len(gens) or any(s not in (1, -1) for s in self.signs):
-                raise ToolkitError("signs must hold one +1 or -1 per generator")
-            object.__setattr__(self, "signs", tuple(self.signs) if -1 in self.signs else None)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relations", rels)
         seen = set()
@@ -327,7 +318,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
             )
         kept.append(v)
     generators = sorted((m for v in kept for m in expansions(v)), key=_grlex_key)
-    return MonoidPresentation(action.ambient_dim, tuple(generators), (), None)
+    return MonoidPresentation(action.ambient_dim, tuple(generators), ())
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +335,10 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     """Minimal generating set of binomial relations up to an ambient degree.
 
     The generator monomials up to the bound fall into expansion fibers,
-    keyed by ambient monomial; ``pres.signs`` is not read, since signs only
-    fix each relation's coefficient (see ``MonoidPresentation``).  In each
-    fiber, members that share a generator are joined; the least member of
-    each component, by (degree, vector), represents it, and the first
-    representative is related to each of the others.  Fibers come in grlex
-    order of their ambient monomial.
+    keyed by ambient monomial.  In each fiber, members that share a
+    generator are joined; the least member of each component, by (degree,
+    vector), represents it, and the first representative is related to each
+    of the others.  Fibers come in grlex order of their ambient monomial.
 
     The generator monomials live in one list per ambient degree, 0 to the
     bound.  Each is one integer of w-bit digits, with w =
@@ -446,7 +435,7 @@ def toric_relations(
         if not is_invariant(action, g):
             raise ToolkitError(f"generator {g} is not invariant under the action")
     rels = binomial_relations(gens, degree_bound)
-    return MonoidPresentation(gens.ambient_dim, gens.generators, rels, gens.signs)
+    return MonoidPresentation(gens.ambient_dim, gens.generators, rels)
 
 
 def relation_profile(pres: MonoidPresentation) -> dict:
@@ -459,7 +448,7 @@ def relation_profile(pres: MonoidPresentation) -> dict:
 
 def within_subset_relation_count(pres: MonoidPresentation, keep) -> int:
     """Relations among the selected generators only, at twice their top
-    degree; signs fix coefficients, not relations, so none are carried."""
+    degree."""
     sub = MonoidPresentation(pres.ambient_dim, tuple(pres.generators[i] for i in keep))
     return len(binomial_relations(sub, _twice_top_degree(sub.generators)))
 
@@ -510,14 +499,14 @@ def fixed_locus_generators(
     action: DiagonalAction, pres: MonoidPresentation, inv: CoordinateInvolution
 ) -> MonoidPresentation:
     """Generators induced on the fixed locus of a normalizing involution, as
-    a generators-only presentation with their signs.
+    a generators-only presentation.
 
-    The fixed locus of the substitution is cut out by identifying each
-    variable with (sign times) its image; generators are rewritten, signed,
-    in one representative variable per orbit, and duplicates merge with the
-    first one's sign, whatever theirs: y^a and -y^a generate one ring.  Only
-    the generators of ``pres`` are read, so a generators-only presentation
-    serves.
+    The fixed locus identifies each variable with (sign times) its image, so
+    a variable fixed with sign -1 vanishes, with every generator that uses
+    it.  The others are rewritten in one representative variable per orbit:
+    each restricts to +-y^a, and y^a and -y^a generate the same ring, so the
+    signs drop and duplicates merge.  Only the generators of ``pres`` are
+    read, so a generators-only presentation serves.
     """
     if not len(inv.image) == action.ambient_dim == pres.ambient_dim:
         raise ToolkitError("action, presentation and involution dimensions differ")
@@ -529,22 +518,17 @@ def fixed_locus_generators(
     reps = sorted({rep[i] for i in range(n) if not zeroed[i]})
     index_of = {r: k for k, r in enumerate(reps)}
 
-    reduced: dict[tuple[int, ...], int] = {}
+    reduced = set()
     for g in pres.generators:
         if any(zeroed[i] and g[i] for i in range(n)):
             continue  # the generator vanishes on the fixed locus
         image = [0] * len(reps)
-        sign = 1
         for i, e in enumerate(g):
-            if not e:
-                continue
-            image[index_of[rep[i]]] += e
-            if i != rep[i] and inv.signs[i] == -1 and e % 2:
-                sign = -sign
-        reduced.setdefault(tuple(image), sign)
+            if e:  # a zeroed variable has no representative index
+                image[index_of[rep[i]]] += e
+        reduced.add(tuple(image))
 
-    new_gens = tuple(sorted(reduced, key=_grlex_key))
-    return MonoidPresentation(len(reps), new_gens, (), tuple(map(reduced.get, new_gens)))
+    return MonoidPresentation(len(reps), tuple(sorted(reduced, key=_grlex_key)), ())
 
 
 def fixed_locus_presentation(
@@ -595,8 +579,7 @@ def presentations_isomorphic(
     lands inside the other and the two agree up to the bound.  The first
     relation that fails is returned as the counterexample, indexed by the
     generators of its own side.  The bound defaults to twice the largest
-    generator degree of either side.  Signs fix coefficients, not which
-    relations exist, so they are not read.
+    generator degree of either side.
     """
     if degree_bound is None:
         degree_bound = _twice_top_degree(a.generators + b.generators)

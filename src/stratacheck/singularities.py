@@ -9,6 +9,7 @@ in integers: all sums above m means terminal, all at least m canonical.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from math import gcd, lcm
 from operator import add, attrgetter
@@ -147,8 +148,22 @@ def classify_quotient(group: FiniteDiagonalGroup) -> SingularityClass:
     return SingularityClass.NOT_CANONICAL
 
 
+def preserves_symplectic_form(group: FiniteDiagonalGroup) -> bool:
+    """Whether G fixes a symplectic form.  The invariant 2-forms are spanned by
+    the dx_i ^ dx_j whose coordinate characters (exponents under the
+    generators) are inverse, so one is nondegenerate exactly when those pairs
+    match every coordinate: each character occurs as often as its inverse,
+    and each self-inverse one an even number of times."""
+    orders = [g.order for g in group.generators]
+    characters = Counter(zip(*(g.exponents for g in group.generators)))
+    inverses = {chi: tuple(-a % r for a, r in zip(chi, orders)) for chi in characters}
+    return all(n == characters[inverses[chi]] and (n % 2 == 0 or inverses[chi] != chi)
+               for chi, n in characters.items())
+
+
 NO_SYMPLECTIC_RESOLUTION = "no symplectic desingularization"
 INCONCLUSIVE = "inconclusive by this criterion"
+NOT_SYMPLECTIC = "not a symplectic quotient"
 
 Q_FACTORIALITY_NOTE = (
     "assumes the quotient germ is Q-factorial, which holds for finite "

@@ -193,17 +193,15 @@ def _triple_reference_families(triple):
 
 
 def _isomorphic(a, b):
-    """Whether the two invariant rings are isomorphic, in all degrees.
-
-    Equal generator sets in the same ambient space generate the same
-    subalgebra of the polynomial ring whatever their signs, which are
-    units, so the rings are equal.
-    """
+    """Whether the two invariant rings are isomorphic, in all degrees: equal
+    generator sets in one ambient space generate the same subalgebra."""
     return a.ambient_dim == b.ambient_dim and sorted(a.generators) == sorted(b.generators)
 
 
 def _verdict(run, group):
-    cls = run.value(f"singularity.{group}.class")
+    cls = run.value(f"singularity.{group}.class")  # first, so a quasi-reflection names it
+    if not singularities.preserves_symplectic_form(run.group(group)):
+        return singularities.NOT_SYMPLECTIC
     return singularities.symplectic_resolution_verdict(cls).verdict
 
 

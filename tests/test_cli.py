@@ -600,7 +600,8 @@ def test_verify_all_matches_golden_report(mode, tmp_path, capsys):
     assert out.read_text() == (DATA / f"verify-all-{mode}.json").read_text()
 
 
-# swap-triple with signs, under which 14 of its fixed locus's 17 generators are -1
+# swap-triple with signs, under which 14 of its fixed locus's 17 generators
+# restrict to -y^a
 SIGNED_SWAP_TRIPLE = {"involutions": {"swap-triple": {
     "permutation": [7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4],
     "signs": [1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1],
@@ -619,13 +620,15 @@ def test_signed_swap_triple_gives_the_golden_invariants_records(mode, tmp_path, 
     checks = json.loads(out.read_text())["checks"]
     golden = json.loads((DATA / f"verify-all-{mode}.json").read_text())["checks"]
     assert checks == [c for c in golden if c["name"].startswith("invariants.")]
-    # the signs reach the fixed locus
-    signed = load_config(config)
+    # the signed involution gives the unsigned fixed locus's generators
+    signed, bundled = load_config(config), builtin_config()
     triple = signed.require("actions", "torus-triple")
+    gens = invariants.invariant_generators(triple, 6)
     fixed = invariants.fixed_locus_generators(
-        triple, invariants.invariant_generators(triple, 6),
-        signed.require("involutions", "swap-triple"))
-    assert fixed.signs.count(-1) == 14
+        triple, gens, signed.require("involutions", "swap-triple"))
+    assert len(fixed.generators) == 17
+    assert fixed == invariants.fixed_locus_generators(
+        triple, gens, bundled.require("involutions", "swap-triple"))
 
 
 def test_every_signing_of_swap_triple_gives_the_golden_invariants_records():
@@ -650,7 +653,7 @@ def test_every_signing_of_swap_triple_gives_the_golden_invariants_records():
 
 # a four-variable torus-triple whose swap-triple fixed locus is generated by
 # -y0^2, y1^2 and y0^2 * y1^2: the product is a degree-4 relation, with
-# coefficient -1
+# coefficient -1, and the signs drop from the generators
 SPLIT_SWAP_TRIPLE = {
     "actions": {"torus-triple": {
         "ambient_dim": 4, "torus_weights": [[1, -1, -1, 1]], "finite_factors": [[2, [0, 1, 0, 1]]],
@@ -668,7 +671,7 @@ def test_a_fixed_locus_relation_across_signs_is_counted(tmp_path):
     fixed = invariants.fixed_locus_generators(
         triple, invariants.invariant_generators(triple, 6),
         config.require("involutions", "swap-triple"))
-    assert fixed.generators == ((2, 0), (0, 2), (2, 2)) and fixed.signs == (-1, 1, 1)
+    assert fixed.generators == ((2, 0), (0, 2), (2, 2))
 
 
 def _cubic_rows(**chi_base):
@@ -930,6 +933,20 @@ def test_verdict_failure_names_the_class_row_it_read(tmp_path):
         "ToolkitError: singularity.negation-c4.class: QuasiReflectionError"
     )
     assert verdict.note.endswith(cls.note)
+
+
+@pytest.mark.parametrize("generator", [
+    {"order": 2, "exponents": [1, 1, 1]},
+    {"order": 3, "exponents": [1, 1, 1, 1]},
+], ids=["odd-dimension", "mu3"])
+def test_a_group_that_fixes_no_symplectic_form_fails_the_verdict(generator, tmp_path):
+    # both are terminal, so the class row passes, but neither preserves a
+    # symplectic form, so the verdict's claim means nothing for them
+    group = {"generators": [generator]}
+    by_name = _run_with(tmp_path, {"groups": {"negation-c4": group}}, "singularity")
+    assert by_name["singularity.negation-c4.class"].status == PASS
+    verdict = by_name["singularity.negation-c4.resolution-verdict"]
+    assert (verdict.status, verdict.computed) == (FAIL, "not a symplectic quotient")
 
 
 def test_a_relation_that_is_no_identity_errors_its_rows(monkeypatch):

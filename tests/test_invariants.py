@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -401,8 +401,7 @@ def closure_relations(pres, degree_bound):
     their reference: fibers in grlex order, two members merged when they
     agree after deleting one shared generator in a lower fiber, by union-find
     state carried across every fiber, then the components still apart joined
-    by fresh relations.  Fibers are keyed by expansion alone: signs fix a
-    relation's coefficient, not whether it exists."""
+    by fresh relations.  Fibers are keyed by expansion alone."""
     fibers = {}
     for genexp in weighted_vectors([sum(g) for g in pres.generators], degree_bound):
         fibers.setdefault(pres.expand(genexp), []).append(genexp)
@@ -454,8 +453,8 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
     toric_relations(Z2Z2, invariant_generators(Z2Z2, 4), 6)
     spy(triple, 10)
     spy(triple, 6)
-    # each fixed locus unsigned, as bundled, and with signs that make its
-    # generator monomials signed
+    # each fixed locus unsigned, as bundled, and under an involution with
+    # signs, which give the same generators: y^a and -y^a generate one ring
     triple_signs = (1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1)
     for action, pres, swap, signs, bound in (
         (PAIR, pair, SWAP_PAIR, (-1,) * 8, 4),
@@ -464,7 +463,7 @@ def test_fiber_components_match_the_closure_on_the_bundled_presentations(
         fixed_locus_presentation(action, pres, swap, bound)
         fixed_locus_presentation(action, pres, CoordinateInvolution(swap.image, signs), bound)
     assert [len(out) for *_, out in calls] == [36, 20, 63, 133, 133, 20, 20, 63, 63]
-    assert [pres.signs is not None for pres, *_ in calls] == [False] * 6 + [True, False, True]
+    assert [pres for pres, *_ in calls[6::2]] == [pres for pres, *_ in calls[5::2]]
     for pres, degree_bound, out in calls:
         assert out == closure_relations(pres, degree_bound)
 
@@ -489,16 +488,13 @@ def test_fiber_components_match_the_closure_on_500_random_presentations():
             continue
         presentations += 1
         bound = 2 * max(sum(g) for g in pres.generators) + rng.randint(0, 1)
-        signed_pres = pres.replace(signs=[rng.choice((1, -1)) for _ in pres.generators])
-        unsigned = binomial_relations(pres, bound)
-        assert binomial_relations(signed_pres, bound) == unsigned, (signed_pres, bound)
-        assert unsigned == closure_relations(pres, bound), (pres, bound)
-        for base in (pres, signed_pres):
-            # the profile reads degrees; its definition expands each relation
-            full = base.replace(relations=unsigned)
-            assert relation_profile(full) == Counter(
-                (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in unsigned
-            ), (base, unsigned)
+        relations = binomial_relations(pres, bound)
+        assert relations == closure_relations(pres, bound), (pres, bound)
+        # the profile reads degrees; its definition expands each relation
+        full = pres.replace(relations=relations)
+        assert relation_profile(full) == Counter(
+            (sum(full.expand(u)), tuple(sorted((sum(u), sum(v))))) for u, v in relations
+        ), (pres, relations)
 
 
 def test_packed_members_match_the_closure_at_the_packing_boundaries():
@@ -513,10 +509,7 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
     cases = [(pres, bound) for pres in (corner, line, single) for bound in range(-2, 18)]
     cases += [(empty, 4), (empty, 0), (empty, -1)]
     for pres, bound in cases:
-        want = closure_relations(pres, bound)
-        for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
-            signed = pres.replace(signs=signs)
-            assert binomial_relations(signed, bound) == want, (signed, bound)
+        assert binomial_relations(pres, bound) == closure_relations(pres, bound), (pres, bound)
     assert binomial_relations(corner, 12) == (((0, 0, 1), (1, 1, 0)),)
     assert binomial_relations(corner, 1) == binomial_relations(corner, -1) == ()
     assert binomial_relations(line, 15) == (((0, 1, 0), (2, 0, 0)), ((0, 0, 1), (1, 1, 0)))
@@ -535,10 +528,7 @@ def test_layered_members_match_the_closure_in_any_generator_order():
     )
     for pres in cases:
         for bound in range(-1, 13):
-            want = closure_relations(pres, bound)
-            for signs in [None] + list(product((1, -1), repeat=len(pres.generators))):
-                signed = pres.replace(signs=signs)
-                assert binomial_relations(signed, bound) == want, (signed, bound)
+            assert binomial_relations(pres, bound) == closure_relations(pres, bound), (pres, bound)
     line, square, _ = cases
     # x^2 = x * x, and x^3 = x * x^2, the least member of x^3's other component
     assert binomial_relations(line, 6) == (((0, 0, 1), (0, 2, 0)), ((1, 0, 0), (0, 1, 1)))
@@ -556,38 +546,7 @@ def test_a_flagged_fiber_that_is_connected_emits_nothing():
         ((0, 0, 1, 0), (0, 0, 0, 2)),
     )
     for bound in range(-1, 9):
-        want = closure_relations(pres, bound)
-        for signs in [None] + list(product((1, -1), repeat=4)):
-            signed = pres.replace(signs=signs)
-            assert binomial_relations(signed, bound) == want, (signed, bound)
-
-
-def test_malformed_generator_signs_are_rejected():
-    gens = ((1, 0), (0, 1), (1, 1))
-    # (1, 0) has no -1: it is rejected before the signs are normalised
-    for signs in ((1,), (1, 0), (1, -1, 1, -1), (1, 0, -1), (1, -1, 5), (0, 1, 1)):
-        with pytest.raises(ToolkitError, match="one \\+1 or -1 per generator"):
-            MonoidPresentation(2, gens, (), signs)
-    assert MonoidPresentation(2, gens, (), [1, 1, 1]) == MonoidPresentation(2, gens)
-    assert MonoidPresentation(2, gens, (), [1, -1, -1]).signs == (1, -1, -1)
-    # xy ~ x * y whichever of the three is -1: a sign fixes the relation's
-    # coefficient, here -1 for x, -y, xy, and not whether it exists
-    pres = MonoidPresentation(2, gens, (), [1, -1, -1])
-    assert binomial_relations(pres, 4) == (((0, 0, 1), (1, 1, 0)),)
-    assert binomial_relations(pres.replace(signs=(1, -1, 1)), 4) == (((0, 0, 1), (1, 1, 0)),)
-
-
-def test_a_relation_whose_signs_differ_is_an_identity():
-    # x^2 with sign -1 and x with sign +1: -x^2 = -1 * x * x, a relation
-    # with coefficient -1, and the one relation up to degree 4 either way
-    pres = MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 2)),), (-1, 1))
-    assert pres.relations == (((1, 0), (0, 2)),) and pres.signs == (-1, 1)
-    unsigned = pres.replace(signs=None)
-    assert binomial_relations(pres, 4) == binomial_relations(unsigned, 4) == pres.relations
-    # sides that expand apart are still no identity, signed or not
-    for signs in ((-1, 1), None):
-        with pytest.raises(ToolkitError, match="does not expand to an identity"):
-            MonoidPresentation(1, ((2,), (1,)), (((1, 0), (0, 1)),), signs)
+        assert binomial_relations(pres, bound) == closure_relations(pres, bound), (pres, bound)
 
 
 def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
@@ -601,13 +560,9 @@ def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
         cases.append((MonoidPresentation(12, tuple(gens)), 8))
     for pres, bound in cases:
         assert bound.bit_length() * len(pres.generators) > 64
-        # the triple's relations hold under any signs, so they stay on
-        signs = [rng.choice((1, -1)) for _ in pres.generators]
-        signed_pres = pres.replace(signs=signs)
-        unsigned = binomial_relations(pres, bound)
-        assert len({sum(pres.expand(u)) for u, _ in unsigned}) < len(unsigned)
-        assert binomial_relations(signed_pres, bound) == unsigned, (signed_pres, bound)
-        assert unsigned == closure_relations(pres, bound), (pres, bound)
+        relations = binomial_relations(pres, bound)
+        assert len({sum(pres.expand(u)) for u, _ in relations}) < len(relations)
+        assert relations == closure_relations(pres, bound), (pres, bound)
 
 
 def test_generators_with_negative_exponents_are_rejected():
@@ -745,17 +700,13 @@ def test_presentation_isomorphic_to_itself():
 
 
 def test_the_isomorphism_certificate_sets_signs_aside():
-    # with -y^2, x^2 * (-y^2) = -(xy)^2: the signed cone has the relation of
-    # the unsigned one, with coefficient -1, and the certificate checks it
-    # on either side
+    # the Veronese cone x^2, xy, y^2 has the one relation x^2 * y^2 = (xy)^2,
+    # and the certificate checks it on both sides; a sign on a generator
+    # would change only that relation's coefficient
     veronese = MonoidPresentation(2, ((2, 0), (1, 1), (0, 2)))
-    signed = veronese.replace(signs=(1, 1, -1))
-    assert binomial_relations(signed, 4) == (((0, 2, 0), (1, 0, 1)),)
-    assert binomial_relations(veronese, 4) == binomial_relations(signed, 4)
-    unsigned = presentations_isomorphic(veronese, veronese, (0, 1, 2))
-    assert unsigned.isomorphic and unsigned.classes_checked == 2
-    assert presentations_isomorphic(signed, signed, (0, 1, 2)) == unsigned
-    assert presentations_isomorphic(signed, veronese, (0, 1, 2)) == unsigned
+    assert binomial_relations(veronese, 4) == (((0, 2, 0), (1, 0, 1)),)
+    result = presentations_isomorphic(veronese, veronese, (0, 1, 2))
+    assert result.isomorphic and result.classes_checked == 2
 
 
 def test_generator_count_mismatch_is_false_not_error():

@@ -14,6 +14,7 @@ from stratacheck.singularities import (
     SingularityClass,
     age,
     classify_quotient,
+    preserves_symplectic_form,
     symplectic_resolution_verdict,
 )
 
@@ -243,3 +244,56 @@ def test_closure_and_plain_ages_match_the_reference_on_2000_random_groups():
     assert outcomes == set(SingularityClass) | {"quasi-reflection"}
     kinds = ("unreduced", "repeated", "order one")
     assert shapes == {(kind, seen) for kind in kinds for seen in (True, False)}
+
+
+def has_invariant_matching(group):
+    """Brute force: some perfect matching of the coordinates into pairs (i, j)
+    whose dx_i ^ dx_j every generator fixes, so that their sum is an
+    invariant symplectic form."""
+
+    def fixed(i, j):
+        return all((g.exponents[i] + g.exponents[j]) % g.order == 0 for g in group.generators)
+
+    def match(free):
+        if not free:
+            return True
+        i, *rest = free
+        return any(fixed(i, j) and match(rest[:k] + rest[k + 1:]) for k, j in enumerate(rest))
+
+    return match(list(range(group.ambient_dim)))
+
+
+def test_the_symplectic_test_passes_the_bundled_groups_and_fails_odd_or_unpaired_ones():
+    assert all(map(preserves_symplectic_form, builtin_config().groups.values()))
+    # +-1 on C^3 has odd dimension; mu3 on C^4 pairs no character with its inverse
+    odd = FiniteDiagonalGroup((CyclicDiagonalElement(2, (1, 1, 1)),))
+    unpaired = FiniteDiagonalGroup((CyclicDiagonalElement(3, (1, 1, 1, 1)),))
+    assert not preserves_symplectic_form(odd) and not preserves_symplectic_form(unpaired)
+    # both are terminal, so only this test keeps them from the verdict
+    assert classify_quotient(odd) is classify_quotient(unpaired) is SingularityClass.TERMINAL
+
+
+def random_diagonal_group(rng):
+    """1 to 6 variables and 1 or 2 generators of order 2 to 6; half the time
+    the coordinates are characters and their inverses, shuffled."""
+    n = rng.randint(1, 6)
+    orders = [rng.randint(2, 6) for _ in range(rng.randint(1, 2))]
+    columns = [tuple(rng.randrange(r) for r in orders) for _ in range(n)]
+    if rng.random() < 0.5:
+        columns = columns[: max(1, n // 2)]
+        columns += [tuple(-a % r for a, r in zip(c, orders)) for c in columns]
+        rng.shuffle(columns)
+    return FiniteDiagonalGroup(tuple(
+        CyclicDiagonalElement(r, tuple(c[k] for c in columns)) for k, r in enumerate(orders)
+    ))
+
+
+def test_the_symplectic_test_matches_a_matching_search_on_2000_random_groups():
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(2000):
+        group = random_diagonal_group(rng)
+        outcome = preserves_symplectic_form(group)
+        assert outcome == has_invariant_matching(group), group
+        outcomes.add(outcome)
+    assert outcomes == {True, False}
