@@ -4,16 +4,19 @@ An action is pure weight data: a monomial is invariant exactly when its
 exponent vector is orthogonal to every torus weight row and satisfies every
 finite congruence row, so it depends only on the total exponent on each
 class of variables with equal weights.  Generating sets come from one grlex
-sieve over those class vectors, built one degree at a time up to twice the
-bound; it stops at the first irreducible above the bound, which certifies
-that the bound was too small.  Relations come from the expansion fibers of
-generator monomials: in each fiber, the members that share a generator form
-one component, and one relation joins each further component to the first,
-so every answer is exact up to the stated degree bound.  Two invariant rings
-in the same ambient variables are isomorphic when their generator sets
-agree; for a given generator bijection, ``presentations_isomorphic``
-certifies the isomorphism by relations: each side's minimal relations,
-carried through the bijection, must hold on the other side.
+walk over those class vectors, built one degree at a time up to twice the
+bound and capped by the generators kept so far, so that it yields only
+irreducibles; it stops at the first irreducible above the bound, which
+certifies that the bound was too small.  Relations come from the expansion
+fibers of generator monomials: in each fiber, the members that share a
+generator form one component, and one relation joins each further component
+to the first, so every answer is exact up to the stated degree bound.  A
+pass over each fiber's support union flags the fibers that split, and only
+their members are sorted and joined.  Two invariant rings in the same
+ambient variables are isomorphic when their generator sets agree; for a
+given generator bijection, ``presentations_isomorphic`` certifies the
+isomorphism by relations: each side's minimal relations, carried through
+the bijection, must hold on the other side.
 """
 
 from __future__ import annotations
@@ -61,6 +64,18 @@ class DiagonalAction(Record):
                 raise ToolkitError("finite factor modulus must be >= 2")
             if len(row) != self.ambient_dim:
                 raise ToolkitError("finite weight row has wrong length")
+
+    def weight_classes(self) -> list[list[int]]:
+        """The variables grouped by weight column, torus weights exactly and
+        finite weights mod their modulus, in order of each class's first
+        member."""
+        classes: dict = {}
+        for i in range(self.ambient_dim):
+            column = tuple(row[i] for row in self.torus_weights) + tuple(
+                w[i] % m for m, w in self.finite_factors
+            )
+            classes.setdefault(column, []).append(i)
+        return list(classes.values())
 
 
 class MonoidPresentation(Record):
@@ -166,9 +181,10 @@ def is_invariant(action: DiagonalAction, monomial) -> bool:
     return True
 
 
-def _invariant_vectors(action: DiagonalAction, max_degree: int):
+def _invariant_vectors(action: DiagonalAction, max_degree: int, kept: list):
     """Yield the invariant monomials of degree <= max_degree in grlex order,
-    built one exact degree at a time.
+    built one exact degree at a time, except the multiples of a vector in
+    ``kept``; with ``kept`` empty, every one.
 
     For each degree a depth-first walk sets the exponents in variable order,
     the first varying slowest and each counting down from the degree left,
@@ -189,12 +205,23 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
     base + e*(w[n-2] - w[n-1]) mod m for a finite row w, and its vector is
     appended in place.  A one-variable action checks the congruences of
     each degree alone.
+
+    ``kept`` is read at the start of each degree, so a caller may append to
+    it the vectors it has read.  A kept g whose last nonzero exponent is at
+    j divides a vector exactly when the prefix dominates g below j and e_j
+    >= g_j, so when the prefix dominates it, checked on g's nonzero
+    exponents only, it caps e_j at g_j - 1.  A g ending at n-1 rules out,
+    at variable n-2, every e with e >= g_{n-2} and r - e >= g_{n-1}.  A
+    one-variable walk stops after its first kept vector, which divides
+    every later one.
     """
     n, k, torus = action.ambient_dim, len(action.torus_weights), action.torus_weights
     if not all(min(row) <= 0 <= max(row) for row in torus):
         max_degree = min(max_degree, 0)
     if n == 1:
         for degree in range(max_degree + 1):
+            if kept:
+                return  # every later degree is a multiple of the kept vector
             if all(degree * w[0] % m == 0 for m, w in action.finite_factors):
                 yield (degree,)
         return
@@ -231,12 +258,28 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
             x = -((s * weight[r] + remaining * t) // p)
             if x > bottom:
                 bottom = x
+        # a kept g ending at i caps e at g[i] - 1 if the prefix dominates it
+        for support, cap in caps[i]:
+            if cap < top:
+                for t, x in support:
+                    if exps[t] < x:
+                        break
+                else:
+                    top = cap
         if top < bottom:
             return
         if i == last:
             # the last exponent is remaining - e; the window made the torus
-            # rows vanish, and each finite row is base + e*d mod m
-            for e in range(top, bottom - 1, -1):
+            # rows vanish, and each finite row is base + e*d mod m.  A kept g
+            # ending at n-1 rules out g[n-2] <= e <= remaining - g[n-1]
+            es = range(top, bottom - 1, -1)
+            for support, a, b in ends:
+                for t, x in support:
+                    if exps[t] < x:
+                        break
+                else:
+                    es = [e for e in es if not a <= e <= remaining - b]
+            for e in es:
                 for j, c, d, m in closing:
                     if (weight[j] + remaining * c + e * d) % m:
                         break
@@ -254,7 +297,24 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int):
         for j, c in step:
             weight[j] -= bottom * c
 
+    # a kept g ending at j < n-1 is (support, g[j] - 1) in caps[j], and one
+    # ending at n-1 is (support, g[n-2], g[n-1]) in ends; its support is the
+    # (index, exponent) pairs of its nonzero exponents below min(j, n-2)
+    caps = [[] for _ in range(last + 1)]
+    ends = []
+    size = 0
     for degree in range(max_degree + 1):
+        # the caller has read every lower degree, so kept holds its vectors
+        while size < len(kept):
+            g, j = kept[size], n - 1
+            size += 1
+            while not g[j]:
+                j -= 1
+            support = [(t, x) for t, x in enumerate(g[:min(j, last)]) if x]
+            if j == n - 1:
+                ends.append((support, g[-2], g[-1]))
+            else:
+                caps[j].append((support, g[j] - 1))
         found.clear()
         rec(0, degree)
         yield from found
@@ -272,10 +332,12 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
     realised by splitting the exponents.
 
     One grlex sieve pulls the invariant class vectors of degree at most
-    2*degree_bound, a degree at a time, and keeps a vector when no kept one
-    divides it.  The quotient of an invariant vector by an invariant divisor
-    is invariant, and grlex visits every divisor first, so the kept vectors
-    are the irreducible ones.  Their expansions, grlex sorted, are the
+    2*degree_bound, a degree at a time, from a walk that the kept vectors
+    cap: it yields no multiple of a kept vector, and no vector divides
+    another of its degree, so the sieve keeps every nonzero vector it reads.
+    The quotient of an invariant vector by an invariant divisor is
+    invariant, and grlex visits every divisor first, so the kept vectors are
+    the irreducible ones.  Their expansions, grlex sorted, are the
     generators: the irreducible invariant monomials up to twice the bound.
 
     Saturation certificate: the first kept vector above degree_bound raises
@@ -285,13 +347,8 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
     """
     if degree_bound < 1:
         raise ToolkitError("degree bound must be >= 1")
-    classes: dict = {}
-    for i in range(action.ambient_dim):
-        column = tuple(row[i] for row in action.torus_weights) + tuple(
-            w[i] % m for m, w in action.finite_factors
-        )
-        classes.setdefault(column, []).append(i)
-    firsts = [c[0] for c in classes.values()]
+    classes = action.weight_classes()
+    firsts = [c[0] for c in classes]
     quotient = DiagonalAction(
         len(firsts),
         tuple(tuple(row[i] for i in firsts) for row in action.torus_weights),
@@ -301,13 +358,13 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
     def expansions(vector):
         # combinations_with_replacement starts with every pick on the
         # class's first member, so the first expansion is the witness
-        for picks in product(*map(combinations_with_replacement, classes.values(), vector)):
+        for picks in product(*map(combinations_with_replacement, classes, vector)):
             flat = sum(picks, ())
             yield tuple(flat.count(i) for i in range(action.ambient_dim))
 
     kept = []
-    for v in _invariant_vectors(quotient, 2 * degree_bound):
-        if sum(v) == 0 or any(all(x <= y for x, y in zip(g, v)) for g in kept):
+    for v in _invariant_vectors(quotient, 2 * degree_bound, kept):
+        if sum(v) == 0:
             continue
         if sum(v) > degree_bound:
             m = next(expansions(v))
@@ -340,24 +397,33 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     vector), represents it, and the first representative is related to each
     of the others.  Fibers come in grlex order of their ambient monomial.
 
-    The generator monomials live in one list per ambient degree, 0 to the
-    bound.  Each is one integer of w-bit digits, with w =
+    The generator monomials are integers of w-bit digits, with w =
     max(bound, 1).bit_length() and these fields from the top down: ambient
     monomial, each digit complemented to 2^w - 1 - e; generator count;
     exponent vector, index 0 most significant; support mask, bit i for
     generator i.  Generators have nonnegative exponents and degree at least
     1, so up to the bound every count and exponent of either kind is at
-    most the bound, below 2^w: no field carries into the next.  The pass for
-    generator i of degree d extends layer e + d from layer e, for e = 0 ..
-    bound - d, by one precomputed addition, which also sets bit i on the
-    members older than the pass; no member passes the bound.  One dict pass
-    per layer ORs the masks of each fiber key m >> ambient and flags a fiber
-    when a member meets none of the masks before it, which every split fiber
-    does: a member outside the first member's component shares no generator
-    with it.  Only flagged members are sorted.  Numeric order (ambient lex
-    descending, count, vector) lays them out fiber by fiber in output order,
-    each ascending by (degree, vector): components are joined on the masks,
-    the first to meet one is its least; a connected fiber emits none.
+    most the bound, below 2^w: no field carries into the next.
+
+    A first pass flags the split fibers one fiber at a time.  It keeps one
+    dict per ambient degree, from the fiber key (the packed ambient
+    monomial) to the OR of its members' masks.  The pass for generator i of
+    degree d walks e = 0 .. bound - d upwards and maps each fiber of degree
+    e to key - g_i at degree e + d, with its union plus bit i, and flags the
+    target when that mask meets none of the target's union so far.  The
+    members that take g_i in pass i all share generator i, so they form one
+    block inside one component.  If a fiber splits, the first block of a
+    component other than the first block's own shares no generator with any
+    earlier block, and that block flags the fiber.
+
+    The members are then built in one list per ambient degree, up to the
+    last degree with a flag: the pass for generator i extends layer e + d
+    from layer e by one precomputed addition, which also sets bit i on the
+    members older than the pass.  Only the members of flagged fibers are
+    sorted.  Numeric order (ambient lex descending, count, vector) lays them
+    out fiber by fiber in output order, each ascending by (degree, vector):
+    components are joined on the masks, the first to meet one is its least;
+    a connected fiber emits none.
 
     Why this is complete and minimal (the fiber graph of Diaconis and
     Sturmfels, Ann. Statist. 1998): a relation (u, v) moves a member w + u
@@ -376,15 +442,33 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
     count = k + w * k  # the places of the fields, from the bottom up
     ambient = count + w
     full, top = (1 << k) - 1, (1 << w) - 1
-    layers = [[((1 << w * n) - 1) << ambient]] + [[] for _ in range(degree_bound)]
-    for i, g in enumerate(pres.generators):
+    unit = (1 << w * n) - 1
+    ambs = [sum(e << w * (n - 1 - j) for j, e in enumerate(g)) for g in pres.generators]
+    unions = [{unit: 0}] + [{} for _ in range(degree_bound)]
+    splits = [set() for _ in unions]
+    for i, (g, amb) in enumerate(zip(pres.generators, ambs)):
+        # walked upwards, fiber key - amb of degree e + d takes one block,
+        # whose masks OR to the source fiber's union with bit i
+        d, bit = sum(g), 1 << i
+        for e in range(degree_bound - d + 1):
+            # d >= 1, so the dict read is never the dict written
+            target, split = unions[e + d], splits[e + d]
+            for key, mask in unions[e].items():
+                key -= amb
+                mask |= bit
+                union = target.get(key, mask)
+                if not union & mask:
+                    split.add(key)
+                target[key] = union | mask
+    last = max((e for e, split in enumerate(splits) if split), default=0)
+    layers = [[unit << ambient]] + [[] for _ in range(last)]
+    for i, (g, amb) in enumerate(zip(pres.generators, ambs)):
         # walked upwards, layer e + d takes g on each member of layer e
         d = sum(g)
-        amb = sum(e << w * (n - 1 - j) for j, e in enumerate(g))
         add = (1 << count) + (1 << count - w * (i + 1)) - (amb << ambient)
         step = add + (1 << i)  # no member from before the pass holds g
         sizes = [len(layer) for layer in layers]
-        for e in range(degree_bound - d + 1):
+        for e in range(last - d + 1):
             layer, old = layers[e], sizes[e]
             layers[e + d] += [m + step for m in layer[:old]]
             layers[e + d] += [m + add for m in layer[old:]]
@@ -398,14 +482,7 @@ def binomial_relations(pres: MonoidPresentation, degree_bound: int) -> tuple:
         return tuple(vector)
 
     relations = []
-    for layer in layers[1:]:  # layer 0 holds the unit alone
-        unions, split = {}, set()  # fiber key -> OR of its masks so far
-        for m in layer:
-            key, mask = m >> ambient, m & full
-            union = unions.get(key, mask)
-            if not union & mask:
-                split.add(key)
-            unions[key] = union | mask
+    for layer, split in zip(layers[1:], splits[1:]):  # layer 0 holds the unit alone
         flagged = sorted(m for m in layer if m >> ambient in split) if split else ()
         for _, fiber in groupby(flagged, ambient.__rrshift__):
             first, *others = fiber

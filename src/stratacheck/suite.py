@@ -171,22 +171,19 @@ def _are_minor_swaps(pres):
     return all(sum(u) == sum(v) == 2 for u, v in pres.relations)
 
 
-def _triple_reference_families(triple):
-    if triple.ambient_dim != 12:
-        raise ToolkitError(
-            "the reference families read the 12-variable torus-triple layout "
-            "(blocks x12, x13, x23, y12, y13, y23, two variables each), not "
-            f"{triple.ambient_dim} variables"
-        )
-    gens = triple.generators
-    # cubics split by which half of the third weight-block they use
-    first_letter = [i for i, g in enumerate(gens) if sum(g) == 3 and (g[2] or g[3])]
-    second_letter = [i for i, g in enumerate(gens) if sum(g) == 3 and (g[8] or g[9])]
+def _triple_reference_families(triple, action):
+    # a letter is the cubics of one class vector, their total exponent on
+    # each weight class of the action
+    classes = action.weight_classes()
+    letters: dict = {}
+    for i, g in enumerate(triple.generators):
+        if sum(g) == 3:
+            letters.setdefault(tuple(sum(g[j] for j in c) for c in classes), []).append(i)
     return {
         "quadratic-blocks": _ambient_relation_histogram(triple).get(4, 0),
-        "within-letter-cubics": (
-            invariants.within_subset_relation_count(triple, first_letter)
-            + invariants.within_subset_relation_count(triple, second_letter)
+        "within-letter-cubics": sum(
+            invariants.within_subset_relation_count(triple, letter)
+            for letter in letters.values()
         ),
         "cross-letter-cubics": invariants.cubic_quadratic_matchings(triple),
     }
@@ -289,7 +286,8 @@ def _battery(config: ConfigDocument) -> list[Check]:
         Check("invariants.torus-triple.relation-families", ring["torus-triple"],
               {"quadratic-blocks": 3, "within-letter-cubics": 18,
                "cross-letter-cubics": 64},
-              "paper", lambda r: _triple_reference_families(r.relations("torus-triple")),
+              "paper", lambda r: _triple_reference_families(
+                  r.relations("torus-triple"), r.config.require("actions", "torus-triple")),
               note=families_note),
         Check("invariants.torus-triple.relation-profile", ring["torus-triple"],
               {(4, (2, 2)): 3, (5, (2, 2)): 48, (6, (2, 2)): 18, (6, (2, 3)): 64},

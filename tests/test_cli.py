@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -409,8 +410,8 @@ def test_cli_survives_any_config_bytes(section, config):
     _run_as_process(section, config)
 
 
-# a torus-triple without invariants, and one on fewer variables than the
-# 12-variable layout its reference families read
+# a torus-triple without invariants, and one on six variables with no cubic
+# generator
 EMPTY_TRIPLE = {"actions": {"torus-triple": {"ambient_dim": 12, "torus_weights": [[1] * 12]}}}
 SHORT_TRIPLE = {
     "actions": {"torus-triple": {"ambient_dim": 6, "finite_factors": [[5, [6, 0, 0, 3, 0, 0]]]}}
@@ -516,14 +517,43 @@ def test_triple_without_invariants_reports_computed_values(tmp_path, capsys):
     assert text.count("[ERROR]") == 0
 
 
-def test_relation_families_name_the_layout_they_read(tmp_path):
+def test_relation_families_compute_on_any_layout(tmp_path):
+    # the families read the action's weight classes, not variable indices:
+    # six variables have no quadratic block and no cubic letter, so the row
+    # computes empty families and fails on them
     record = _run_with(tmp_path, SHORT_TRIPLE, "invariants")[
         "invariants.torus-triple.relation-families"
     ]
-    assert record.status == "error"
-    assert record.note.startswith(
-        "ToolkitError: the reference families read the 12-variable torus-triple layout"
-    )
+    assert record.status == FAIL
+    assert record.computed == {
+        "quadratic-blocks": 0, "within-letter-cubics": 0, "cross-letter-cubics": 0,
+    }
+
+
+def test_relation_families_survive_relabeled_variables(tmp_path):
+    # a letter is a class vector of the cubic generators, so a relabeling of
+    # the twelve variables, with the involution conjugated to match, keeps
+    # both letters of 8 cubics and their 9 + 9 relations
+    config = builtin_config()
+    action = config.require("actions", "torus-triple")
+    image = config.require("involutions", "swap-triple").image
+    rng = random.Random(20261020)
+    for _ in range(5):
+        sigma = rng.sample(range(12), 12)
+        rows = [[0] * 12 for _ in action.torus_weights]
+        relabeled = [0] * 12
+        for i in range(12):
+            for row, old in zip(rows, action.torus_weights):
+                row[sigma[i]] = old[i]
+            relabeled[sigma[i]] = sigma[image[i]]
+        document = {
+            "actions": {"torus-triple": {"ambient_dim": 12, "torus_weights": rows}},
+            "involutions": {"swap-triple": {"permutation": relabeled}},
+        }
+        record = _run_with(tmp_path, document, "invariants")[
+            "invariants.torus-triple.relation-families"
+        ]
+        assert record.status == PASS, (sigma, record.computed)
 
 
 def test_config_override_changes_expected_outcome(tmp_path, capsys):

@@ -219,7 +219,7 @@ def ambient_sieve(action, degree_bound):
     """The grlex sieve run on every ambient monomial instead of on class
     vectors: the same generators, witness and message, without the quotient."""
     generators = []
-    for m in invariants._invariant_vectors(action, 2 * degree_bound):
+    for m in invariants._invariant_vectors(action, 2 * degree_bound, []):
         if sum(m) == 0 or any(all(x <= y for x, y in zip(g, m)) for g in generators):
             continue
         if sum(m) > degree_bound:
@@ -263,9 +263,9 @@ def test_quotient_sieve_matches_ambient_sieve_on_500_aliased_actions(monkeypatch
     quotient_dims = []
     enumerate_vectors = invariants._invariant_vectors
 
-    def spy(action, max_degree):
+    def spy(action, max_degree, kept):
         quotient_dims.append(action.ambient_dim)
-        return enumerate_vectors(action, max_degree)
+        return enumerate_vectors(action, max_degree, kept)
 
     monkeypatch.setattr(invariants, "_invariant_vectors", spy)
     rng = random.Random(20261018)
@@ -299,8 +299,8 @@ def test_sieve_stops_at_its_witness(monkeypatch):
     reached = []
     enumerate_vectors = invariants._invariant_vectors
 
-    def spy(action, max_degree):
-        for v in enumerate_vectors(action, max_degree):
+    def spy(action, max_degree, kept):
+        for v in enumerate_vectors(action, max_degree, kept):
             reached.append(sum(v))
             yield v
         reached.append(max_degree)
@@ -316,11 +316,11 @@ def test_sieve_stops_at_its_witness(monkeypatch):
         invariant_generators(DiagonalAction(2, (), ((5, (1, 2)),)), 3)
     assert info.value.witness == (3, 1)
     assert max(reached) == 4
-    # a saturated sieve still reads every vector up to twice the bound, the
-    # last of them x^4 y^4 in class vectors
+    # a saturated walk still runs to twice the bound, but the kept x y caps
+    # it: no class vector above the generators' degree 2 comes out
     reached.clear()
     assert len(invariant_generators(PAIR, 4).generators) == 16
-    assert reached[-2:] == [8, 8]
+    assert reached == [0, 2, 8]
 
 
 @pytest.mark.xfail(
@@ -520,16 +520,21 @@ def test_packed_members_match_the_closure_at_the_packing_boundaries():
 def test_layered_members_match_the_closure_in_any_generator_order():
     # each pass grows the degree layers in the given generator order, which
     # need not be grlex, and a generator above the bound adds no member
-    # but keeps its index and support bit
+    # but keeps its index and support bit; members stop at the last flag,
+    # which for the last case lies at 7, below most bounds
     cases = (
         MonoidPresentation(1, ((3,), (1,), (2,))),
         MonoidPresentation(2, ((2, 0), (0, 13), (1, 1), (0, 2))),
         MonoidPresentation(2, ((1, 1), (3, 0), (0, 7), (1, 0), (0, 1))),
+        MonoidPresentation(2, ((2, 0), (1, 1), (0, 2), (3, 0), (0, 3))),
     )
     for pres in cases:
         for bound in range(-1, 13):
             assert binomial_relations(pres, bound) == closure_relations(pres, bound), (pres, bound)
-    line, square, _ = cases
+    line, square, _, spread = cases
+    # x^2, xy, y^2, x^3 and y^3 flag fibers of degrees 4, 6 and 7 only
+    relations = binomial_relations(spread, 12)
+    assert sorted({sum(spread.expand(u)) for u, _ in relations}) == [4, 6, 7]
     # x^2 = x * x, and x^3 = x * x^2, the least member of x^3's other component
     assert binomial_relations(line, 6) == (((0, 0, 1), (0, 2, 0)), ((1, 0, 0), (0, 1, 1)))
     assert binomial_relations(square, 12) == (((0, 0, 2, 0), (1, 0, 0, 1)),)
@@ -563,6 +568,14 @@ def test_fiber_order_matches_the_closure_on_wide_packed_codes(triple):
         relations = binomial_relations(pres, bound)
         assert len({sum(pres.expand(u)) for u, _ in relations}) < len(relations)
         assert relations == closure_relations(pres, bound), (pres, bound)
+
+
+def test_a_flag_in_the_top_layer_builds_its_members():
+    # x^2 x^2 x^2 = x^3 x^3 is the only relation of x^2 and x^3, and its
+    # fiber x^6 is the last that a bound of 6 reaches
+    pres = MonoidPresentation(1, ((2,), (3,)))
+    assert binomial_relations(pres, 5) == ()
+    assert binomial_relations(pres, 6) == (((0, 2), (3, 0)),)
 
 
 def test_generators_with_negative_exponents_are_rejected():
@@ -748,13 +761,13 @@ def test_wrong_bijection_returns_counterexample():
 
 
 def test_grlex_order_is_degree_then_lex():
-    assert tuple(invariants._invariant_vectors(DiagonalAction(2), 2)) == (
+    assert tuple(invariants._invariant_vectors(DiagonalAction(2), 2, [])) == (
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     )
 
 
 def test_grlex_key_total_degree_first():
-    ms = list(invariants._invariant_vectors(DiagonalAction(2), 4))
+    ms = list(invariants._invariant_vectors(DiagonalAction(2), 4, []))
     assert ms.index((0, 3)) < ms.index((4, 0))
     assert ms.index((2, 0)) < ms.index((1, 1))
 
@@ -775,7 +788,7 @@ def random_enumeration_action(rng):
 
 
 def test_invariant_monomials_sorted_and_complete():
-    ms = invariants._invariant_vectors(NEG4, 4)
+    ms = invariants._invariant_vectors(NEG4, 4, [])
     brute = sorted(
         (m for m in all_monomials(4, 4) if oracle_is_invariant(NEG4, m)),
         key=grlex_order,
@@ -783,7 +796,7 @@ def test_invariant_monomials_sorted_and_complete():
     assert list(ms) == brute
     # a negative bound admits no monomial, with or without torus rows
     for action in (DiagonalAction(2), DiagonalAction(2, ((1, -1),)), NEG4):
-        assert list(invariants._invariant_vectors(action, -1)) == []
+        assert list(invariants._invariant_vectors(action, -1, [])) == []
     rng = random.Random(20261020)
     row_signs, row_counts = set(), set()
     one_variable_congruence = zero_only = False
@@ -808,12 +821,51 @@ def test_invariant_monomials_sorted_and_complete():
                 ),
                 key=grlex_order,
             )
-            assert list(invariants._invariant_vectors(action, bound)) == brute, (action, bound)
+            assert list(invariants._invariant_vectors(action, bound, [])) == brute, (action, bound)
             zero_only |= one_signed and bound >= 1 and brute == [(0,) * n]
     assert row_signs == {-1, 0, 1}
     assert row_counts == {0, 1, 2, 3}
     assert one_variable_congruence and zero_only
     assert closing_zero == {False, True}
+
+
+def sieved_walk(action, max_degree):
+    """Every vector the walk yields with the sieve's growing kept list."""
+    kept, out = [], []
+    for v in invariants._invariant_vectors(action, max_degree, kept):
+        out.append(v)
+        if sum(v):
+            kept.append(v)
+    return out
+
+
+def test_kept_vectors_cap_the_walk_exactly():
+    # run to its end, the capped walk yields what the uncapped walk yields
+    # less every multiple of an earlier nonzero vector: the irreducibles
+    rng = random.Random(20261031)
+    actions = [DiagonalAction(1, (), ((3, (1,)),)), DiagonalAction(3, (), ((2, (1, 3, 5)),))]
+    actions += [random_enumeration_action(rng) for _ in range(150)]
+    actions += [random_aliased_action(rng) for _ in range(150)]
+    shapes = set()
+    for action in actions:
+        classes = action.weight_classes()
+        quotient = DiagonalAction(
+            len(classes),
+            tuple(tuple(row[c[0]] for c in classes) for row in action.torus_weights),
+            tuple((m, tuple(w[c[0]] for c in classes)) for m, w in action.finite_factors),
+        )
+        for walked in (action, quotient):
+            expected = []
+            for v in invariants._invariant_vectors(walked, 8, []):
+                if not any(all(x <= y for x, y in zip(g, v)) for g in expected if sum(g)):
+                    expected.append(v)
+            assert sieved_walk(walked, 8) == expected, walked
+            shapes.add(
+                "one-variable" if walked.ambient_dim == 1
+                else "finite-only" if not walked.torus_weights
+                else "torus"
+            )
+    assert shapes == {"one-variable", "finite-only", "torus"}
 
 
 def test_every_relation_side_has_equal_expansion_under_validation():
