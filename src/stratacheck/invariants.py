@@ -5,9 +5,15 @@ exponent vector is orthogonal to every torus weight row and satisfies every
 finite congruence row, so it depends only on the total exponent on each
 class of variables with equal weights.  Generating sets come from one grlex
 walk over those class vectors, built one degree at a time up to twice the
-bound and capped by the generators kept so far, so that it yields only
-irreducibles; it stops at the first irreducible above the bound, which
-certifies that the bound was too small.  Relations come from the expansion
+bound, or to the proven bound where that is lower, and capped by the
+generators kept so far, so that it yields only irreducibles; it stops at the
+first irreducible above the bound, which certifies that the bound was too
+small.  The proven bound holds when the torus rows are unimodular: every
+circuit is then a 0/1 vector on at most rank + 1 variables, and an
+irreducible is a minimal zero-sum sequence of circuits' characters, so its
+degree is at most (rank + 1) times the product of the finite moduli
+(Sturmfels, Groebner Bases and Convex Polytopes, AMS 1996, ch. 4 and 8; with
+no torus rows, Noether's bound).  Relations come from the expansion
 fibers of generator monomials: in each fiber, the members that share a
 generator form one component, and one relation joins each further component
 to the first, so every answer is exact up to the stated degree bound.  A
@@ -22,7 +28,8 @@ the bijection, must hold on the other side.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations, combinations_with_replacement, groupby, product
+from math import prod
 from operator import mul
 
 from .errors import InvolutionError, NonSaturationError, Record, ToolkitError
@@ -320,6 +327,60 @@ def _invariant_vectors(action: DiagonalAction, max_degree: int, kept: list):
         yield from found
 
 
+def _walk_degree(action: DiagonalAction, cap: int) -> int:
+    """The degree up to which the sieve must walk: a proven bound B on the
+    degree of every irreducible invariant monomial where B < cap, else cap.
+
+    The torus rows are reduced to an independent basis of rank r by
+    fraction-free elimination.  They are unimodular when all nonzero r x r
+    minors of that basis have one absolute value, and then B = (r + 1) *
+    the product of the finite moduli; otherwise there is no bound.  The
+    minors are skipped when B >= cap, as B could not lower the walk.
+
+    Why B holds (Sturmfels, Groebner Bases and Convex Polytopes, AMS 1996,
+    ch. 4 and 8): for a unimodular matrix the circuits are the Graver basis,
+    and each circuit has entries in {0, +-1} on at most r + 1 columns.  So
+    every x >= 0 in the torus kernel is a conformal sum of circuits c_1 ..
+    c_s, each a 0/1 vector of degree <= r + 1.  If some proper sub-sum is
+    invariant under the finite factors, x is reducible; so for an
+    irreducible x the characters of the c_j form a minimal zero-sum
+    sequence in G = the product of the Z/m, and s <= Davenport(G) <= |G|.
+    With no torus rows, this is Noether's bound for abelian groups.
+    """
+    moduli = prod(m for m, _ in action.finite_factors)
+    if (1 + any(map(any, action.torus_weights))) * moduli >= cap:
+        return cap  # a nonzero torus row makes r >= 1
+    basis = []  # each row vanishes at every earlier row's pivot
+    for row in action.torus_weights:
+        for other, j in basis:
+            c = row[j]
+            if c:
+                row = [other[j] * x - c * y for x, y in zip(row, other)]
+        first = next(filter(None, row), 0)
+        if first:
+            basis.append((row, row.index(first)))
+    bound = (len(basis) + 1) * moduli
+    if bound >= cap:
+        return cap
+    # the k x k minors of the first k rows, each expanded along its last row
+    minors, size = {(): 1}, 0
+    for k, (row, _) in enumerate(basis):
+        level = {}
+        for columns in combinations(range(action.ambient_dim), k + 1):
+            minor, sign = 0, (-1) ** k
+            for t, j in enumerate(columns):
+                if row[j]:
+                    minor += sign * row[j] * minors[columns[:t] + columns[t + 1:]]
+                sign = -sign
+            if k == len(basis) - 1 and minor:
+                if size and abs(minor) != size:
+                    return cap
+                size = abs(minor)
+            level[columns] = minor
+        minors = level
+    return bound
+
+
 def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPresentation:
     """Minimal monomial generators of the invariant ring, up to degree_bound.
 
@@ -332,18 +393,22 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
     realised by splitting the exponents.
 
     One grlex sieve pulls the invariant class vectors of degree at most
-    2*degree_bound, a degree at a time, from a walk that the kept vectors
+    2*degree_bound, or at most the proven bound of ``_walk_degree`` where
+    that is lower, a degree at a time, from a walk that the kept vectors
     cap: it yields no multiple of a kept vector, and no vector divides
     another of its degree, so the sieve keeps every nonzero vector it reads.
     The quotient of an invariant vector by an invariant divisor is
     invariant, and grlex visits every divisor first, so the kept vectors are
     the irreducible ones.  Their expansions, grlex sorted, are the
-    generators: the irreducible invariant monomials up to twice the bound.
+    generators: the irreducible invariant monomials up to twice the bound,
+    or all of them where the proven bound holds.
 
     Saturation certificate: the first kept vector above degree_bound raises
     NonSaturationError before a higher degree is built.  The witness puts
     each class total on the class's first member: the grlex-first monomial
-    above the bound that does not factor into the generators.
+    above the bound that does not factor into the generators.  No
+    irreducible lies above the proven bound and the walk is grlex, so
+    stopping there changes neither the generators nor the witness.
     """
     if degree_bound < 1:
         raise ToolkitError("degree bound must be >= 1")
@@ -363,7 +428,7 @@ def invariant_generators(action: DiagonalAction, degree_bound: int) -> MonoidPre
             yield tuple(flat.count(i) for i in range(action.ambient_dim))
 
     kept = []
-    for v in _invariant_vectors(quotient, 2 * degree_bound, kept):
+    for v in _invariant_vectors(quotient, _walk_degree(quotient, 2 * degree_bound), kept):
         if sum(v) == 0:
             continue
         if sum(v) > degree_bound:

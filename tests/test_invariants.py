@@ -1,10 +1,11 @@
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from stratacheck import invariants
+from stratacheck.config import builtin_config
 from stratacheck.errors import InvolutionError, NonSaturationError, ToolkitError
 from stratacheck.invariants import (
     CoordinateInvolution,
@@ -19,6 +20,7 @@ from stratacheck.invariants import (
     relation_profile,
     toric_relations,
 )
+from stratacheck.suite import DEGREE_BOUNDS
 
 PAIR = DiagonalAction(8, ((1, 1, 1, 1, -1, -1, -1, -1),))
 TRIPLE = DiagonalAction(
@@ -316,11 +318,68 @@ def test_sieve_stops_at_its_witness(monkeypatch):
         invariant_generators(DiagonalAction(2, (), ((5, (1, 2)),)), 3)
     assert info.value.witness == (3, 1)
     assert max(reached) == 4
-    # a saturated walk still runs to twice the bound, but the kept x y caps
-    # it: no class vector above the generators' degree 2 comes out
+    # a saturated walk runs to the proven bound, 2 for the unimodular row
+    # (1, -1) of the pair's quotient
     reached.clear()
     assert len(invariant_generators(PAIR, 4).generators) == 16
-    assert reached == [0, 2, 8]
+    assert reached == [0, 2, 2]
+    # minors 1 and -2 prove no bound: the walk runs to twice the bound, and
+    # the kept x^2 y caps it, so no class vector above degree 3 comes out
+    reached.clear()
+    assert invariant_generators(DiagonalAction(2, ((1, -2),)), 3).generators == ((2, 1),)
+    assert reached == [0, 3, 6]
+
+
+def random_unimodular_action(rng):
+    """A random action whose torus rows are the incidence rows of a random
+    directed graph on up to four vertices, some negated; such a matrix is
+    totally unimodular, so its rows are unimodular.  Dropping a vertex's row
+    leaves its arcs as one-entry columns, and a loop is a zero column."""
+    n, vertices = rng.randint(1, 5), rng.randint(1, 4)
+    arcs = [(rng.randrange(vertices), rng.randrange(vertices)) for _ in range(n)]
+    rows = rng.sample(range(vertices), rng.randint(0, vertices))
+    torus = tuple(
+        tuple(sign * ((a == v) - (b == v)) for a, b in arcs)
+        for v, sign in zip(rows, rng.choices((1, -1), k=len(rows)))
+    )
+    finite = tuple(
+        (m, tuple(rng.randrange(m) for _ in range(n)))
+        for m in rng.sample((2, 2, 3), rng.randint(0, 2))
+    )
+    return DiagonalAction(n, torus, finite)
+
+
+def test_no_irreducible_lies_above_the_proven_bound_on_300_unimodular_actions():
+    # the uncapped walk, filtered for divisibility, finds every irreducible
+    # up to twice the proven bound; none lies above the bound
+    rng = random.Random(20261022)
+    actions = [TRIPLE, Z2Z2] + [random_unimodular_action(rng) for _ in range(300)]
+    attained = Counter()
+    for action in actions:
+        bound = invariants._walk_degree(action, 10**9)
+        assert bound < 10**9, action
+        irreducibles = []
+        for m in invariants._invariant_vectors(action, 2 * bound, []):
+            if sum(m) and not any(all(x <= y for x, y in zip(g, m)) for g in irreducibles):
+                irreducibles.append(m)
+        top = max(map(sum, irreducibles), default=0)
+        assert top <= bound, (action, bound, top)
+        attained[bool(action.torus_weights), bool(action.finite_factors)] += top == bound
+    # the bound is sharp on every kind of action: the degree-3 cubics of
+    # torus-triple meet rank + 1, the class vector (1, 1, 1) of z2z2-c6 the
+    # product of its moduli
+    assert all(attained[kind] for kind in product((False, True), repeat=2)), attained
+
+
+def test_the_proven_bounds_cover_the_battery_degree_bounds():
+    # every irreducible of a built-in action lies within its degree bound,
+    # so the battery's generator sets are complete in all degrees
+    actions = builtin_config().actions
+    proven = {name: invariants._walk_degree(actions[name], 10**9) for name in DEGREE_BOUNDS}
+    assert proven == {"torus-pair": 2, "negation-c4": 2, "torus-triple": 3, "z2z2-c6": 4}
+    assert all(proven[name] <= bound for name, bound in DEGREE_BOUNDS.items())
+    # a walk capped below the proven bound is left at the cap
+    assert invariants._walk_degree(actions["z2z2-c6"], 4) == 4
 
 
 @pytest.mark.xfail(
